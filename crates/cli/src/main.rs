@@ -6,7 +6,7 @@
 //! rrs sweep   --defense rrs [--workloads all|table3|N] [--scale N]
 //! rrs capture --workload gcc --records N --out trace.rrst [--text]
 //! rrs replay  --trace trace.rrst --defense rrs [--instr N]
-//! rrs analyze table4|table5|storage|duty-cycle
+//! rrs figure  table4|fig6|...|all [--scale N] [--instr N] [--out DIR]
 //! ```
 
 use rrs_cli::{dispatch, print_usage};

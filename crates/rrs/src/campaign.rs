@@ -18,7 +18,9 @@
 //!   `none` baseline behind Figures 6, 10, and 11) dedupes to one run;
 //! * **resumably** — with [`RunOptions::out_dir`] set, each finished cell
 //!   is written to `<out_dir>/<cell-id>.json` and a rerun loads it instead
-//!   of recomputing ([`RunOptions::force`] overrides).
+//!   of recomputing ([`RunOptions::force`] overrides). A file that cannot
+//!   be written does not stop the grid: the cell keeps its result and
+//!   reports the failure in [`CellOutcome::write_error`].
 //!
 //! # Example
 //!
@@ -36,7 +38,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -306,9 +308,8 @@ impl Campaign {
     /// schedule-dependent but the returned results are not.
     pub fn run(&self, opts: &RunOptions) -> CampaignRun {
         if let Some(dir) = &opts.out_dir {
-            std::fs::create_dir_all(dir).unwrap_or_else(|e| {
-                panic!("campaign: cannot create out dir {}: {e}", dir.display())
-            });
+            // A failure here resurfaces as each cell's write error.
+            let _ = std::fs::create_dir_all(dir);
         }
         let n = self.cells.len();
         let slots: Vec<Mutex<Option<CellOutcome>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -360,6 +361,9 @@ pub struct CellOutcome {
     pub seconds: f64,
     /// Telemetry captured for this cell (only with [`RunOptions::trace`]).
     pub telemetry: Option<CellTelemetry>,
+    /// Why the cell's files could not be written to
+    /// [`RunOptions::out_dir`]; the result above is still valid.
+    pub write_error: Option<String>,
 }
 
 /// Telemetry captured for one traced cell: the registry counters plus the
@@ -429,6 +433,15 @@ impl CampaignRun {
         self.outcomes.is_empty()
     }
 
+    /// One `<cell id>: <error>` line per cell whose files could not be
+    /// written, in cell order.
+    pub fn write_errors(&self) -> Vec<String> {
+        self.outcomes
+            .iter()
+            .filter_map(|o| Some(format!("{}: {}", o.id, o.write_error.as_ref()?)))
+            .collect()
+    }
+
     /// Campaign-wide telemetry counters: each counter name summed across
     /// every traced cell, in first-seen order. Empty unless the run used
     /// [`RunOptions::trace`].
@@ -486,6 +499,7 @@ fn run_cell(cell: &Cell, opts: &RunOptions) -> CellOutcome {
                             from_cache: true,
                             seconds: start.elapsed().as_secs_f64(),
                             telemetry: None,
+                            write_error: None,
                         };
                     }
                 }
@@ -493,14 +507,12 @@ fn run_cell(cell: &Cell, opts: &RunOptions) -> CellOutcome {
         }
     }
 
+    let mut written = Ok(());
     let (result, telemetry) = if opts.trace {
         let spine = Telemetry::with_trace(rrs_telemetry::DEFAULT_TRACE_CAPACITY);
         let result = cell.execute_probed(&spine);
         let captured = CellTelemetry::capture(&spine);
         if let Some(dir) = &opts.out_dir {
-            let trace_path = dir.join(format!("{id}.trace.jsonl"));
-            std::fs::write(&trace_path, &captured.trace_jsonl)
-                .unwrap_or_else(|e| panic!("campaign: cannot write {}: {e}", trace_path.display()));
             // Exposure forensics ride along with every traced cell: judge
             // the trace against the cell's own T_RRS (whatever defense ran,
             // so an undefended cell shows a failing verdict).
@@ -513,26 +525,36 @@ fn run_cell(cell: &Cell, opts: &RunOptions) -> CellOutcome {
                 },
                 spine.events_dropped(),
             );
+            let trace_path = dir.join(format!("{id}.trace.jsonl"));
             let forensics_path = dir.join(format!("{id}.forensics.json"));
-            std::fs::write(&forensics_path, report.to_json().to_string_pretty()).unwrap_or_else(
-                |e| panic!("campaign: cannot write {}: {e}", forensics_path.display()),
-            );
+            written = write_file(&trace_path, &captured.trace_jsonl)
+                .and_then(|()| write_file(&forensics_path, &report.to_json().to_string_pretty()));
         }
         (result, Some(captured))
     } else {
         (cell.execute(), None)
     };
-    if let Some(path) = &path {
-        std::fs::write(path, result.to_json().to_string_pretty())
-            .unwrap_or_else(|e| panic!("campaign: cannot write {}: {e}", path.display()));
-    }
+    // The first failed write stops the cell's remaining writes (they all
+    // target the same directory) but never its result.
+    let write_error = written
+        .and_then(|()| match &path {
+            Some(path) => write_file(path, &result.to_json().to_string_pretty()),
+            None => Ok(()),
+        })
+        .err();
     CellOutcome {
         id,
         result,
         from_cache: false,
         seconds: start.elapsed().as_secs_f64(),
         telemetry,
+        write_error,
     }
+}
+
+/// Writes `contents` to `path`, describing a failure.
+fn write_file(path: &Path, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
 
 #[cfg(test)]
@@ -637,6 +659,27 @@ mod tests {
         assert_eq!(run.get(b).workload, table3_workloads()[1].name());
         assert!(run.get(a).aggregate_ipc() > 0.0);
         assert!(!run.outcome(a).from_cache);
+    }
+
+    #[test]
+    fn write_failures_are_per_cell_errors() {
+        // An out "directory" that is a regular file: no cell can be
+        // written, yet every cell still simulates and reports its failure.
+        let file =
+            std::env::temp_dir().join(format!("rrs_campaign_not_a_dir_{}", std::process::id()));
+        std::fs::write(&file, "not a directory").unwrap();
+        let cfg = smoke();
+        let mut campaign = Campaign::new();
+        let a = campaign.workload(cfg, table3_workloads()[0], MitigationKind::None);
+        let b = campaign.workload(cfg, table3_workloads()[1], MitigationKind::None);
+        let run = campaign.run(&RunOptions::quiet().with_out_dir(&file));
+        assert_eq!(run.len(), 2);
+        assert!(run.get(a).aggregate_ipc() > 0.0);
+        assert!(run.get(b).aggregate_ipc() > 0.0);
+        let errors = run.write_errors();
+        assert_eq!(errors.len(), 2, "{errors:?}");
+        assert!(errors[0].starts_with(&run.outcome(a).id), "{errors:?}");
+        std::fs::remove_file(&file).unwrap();
     }
 
     #[test]

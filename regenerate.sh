@@ -2,12 +2,15 @@
 # Regenerates every table and figure of the paper into results/ — the
 # equivalent of the original artifact's run_artifact.sh.
 #
-# Everything simulation-driven executes through the campaign engine
-# (rrs::campaign): cells run in parallel across the machine's cores and
-# every finished cell is cached under results/ as <cell-id>.json, so an
-# interrupted regeneration resumes where it stopped and figures sharing
-# cells (e.g. the no-defense baselines behind table3/fig6/fig11) run them
-# once. Delete results/*.json (or pass --force to a binary) to re-simulate.
+# `rrs figure all` renders the whole figure registry. Every simulation
+# runs through the campaign engine (rrs::campaign): cells execute in
+# parallel across the machine's cores and each finished cell is cached
+# under results/ as <cell-id>.json, so an interrupted regeneration resumes
+# where it stopped and figures sharing cells (e.g. the no-defense
+# baselines behind table3/fig6/fig11) run them once. Each figure's text
+# lands in results/<name>.txt, and per-workload series in
+# results/<name>.csv. Delete results/*.json (or pass --force) to
+# re-simulate.
 #
 # Usage: ./regenerate.sh [SCALE] [INSTR]
 #   SCALE  time-scale factor (default 100; must divide 800; 1 = the paper's
@@ -18,46 +21,11 @@ set -euo pipefail
 SCALE="${1:-100}"
 INSTR="${2:-6000000}"
 OUT=results
-mkdir -p "$OUT"
 
 echo "building (release)..."
-cargo build --release -p bench -p rrs-cli
+cargo build --release -p rrs-cli
 
-# Warm the shared cell cache through the campaign CLI: the full workload
-# population under every defense the figures below need. Reruns of this
-# script (and the individual binaries) then load these cells from disk.
-echo "== warming campaign cache =="
-cargo run -q --release -p rrs-cli -- campaign \
-    --workloads all --defenses none,rrs,bh-512,bh-1k \
-    --scale "$SCALE" --instr "$INSTR" --out "$OUT" --quiet \
-    > "$OUT/campaign_warm.txt"
-
-run() {
-    local name="$1"; shift
-    echo "== $name =="
-    cargo run -q --release -p bench --bin "$name" -- --out "$OUT" "$@" | tee "$OUT/$name.txt"
-}
-
-run table1
-run table2
-run table3 --scale "$SCALE" --instr "$INSTR" --workloads all
-run table4 --validate
-run table5
-run table6 --scale "$SCALE" --instr "$INSTR" --workloads all
-run table7 --scale "$SCALE" --epochs 2
-run fig5  --scale "$SCALE" --instr "$INSTR" --workloads all --csv "$OUT/fig5.csv"
-run fig6  --scale "$SCALE" --instr "$INSTR" --workloads all --csv "$OUT/fig6.csv"
-run fig9
-run fig10 --scale "$SCALE" --instr "$INSTR" --workloads 12
-run fig11 --scale "$SCALE" --instr "$INSTR" --workloads all
-run dos   --scale "$SCALE"
-run security_sweep --workloads 6 --scale "$SCALE" --instr "$INSTR"
-run tracker_ablation
-run rowclone --scale "$SCALE" --instr "$INSTR" --workloads 8
-run scheduler_ablation --scale "$SCALE" --instr "$INSTR" --workloads 6
-run detector_study --scale "$SCALE" --instr "$INSTR" --workloads 10
-run fullscale_attack
-run duty_cycle
+./target/release/rrs-cli figure all --scale "$SCALE" --instr "$INSTR" --out "$OUT"
 
 echo
 echo "all outputs in $OUT/ — compare against EXPERIMENTS.md"
