@@ -11,11 +11,9 @@ pub struct SystemConfig {
     pub cores: usize,
     /// Fetch/retire width (Table 2: 4).
     pub fetch_width: u32,
-    /// Reorder-buffer size (Table 2: 192). The core model approximates ROB
-    /// stalling with a bounded outstanding-miss window.
-    pub rob_size: usize,
-    /// Maximum outstanding DRAM reads per core (memory-level parallelism;
-    /// ≈ ROB size / typical instructions per miss).
+    /// Maximum outstanding DRAM reads per core (memory-level parallelism).
+    /// The core model has no reorder buffer: this bounded miss window is
+    /// what stands in for Table 2's 192-entry ROB.
     pub max_outstanding: usize,
     /// Memory-controller / DRAM configuration.
     pub controller: ControllerConfig,
@@ -40,7 +38,6 @@ impl SystemConfig {
         SystemConfig {
             cores: 8,
             fetch_width: 4,
-            rob_size: 192,
             max_outstanding: 10,
             controller: ControllerConfig::asplos22_baseline(),
             llc: None,
@@ -54,7 +51,6 @@ impl SystemConfig {
         SystemConfig {
             cores: 2,
             fetch_width: 4,
-            rob_size: 192,
             max_outstanding: 8,
             controller: ControllerConfig::test_config(),
             llc: None,
@@ -85,7 +81,7 @@ mod tests {
         let c = SystemConfig::asplos22_baseline(1_000_000);
         assert_eq!(c.cores, 8);
         assert_eq!(c.fetch_width, 4);
-        assert_eq!(c.rob_size, 192);
+        assert_eq!(c.max_outstanding, 10);
         assert_eq!(c.controller.geometry.channels, 2);
         assert!(c.llc.is_none());
     }
