@@ -1,15 +1,12 @@
 //! End-to-end benchmarks: memory-controller access paths and full
 //! simulation slices under each mitigation, plus the ablations DESIGN.md
-//! calls out (CAM vs CAT tracker, buffered vs RowClone swaps, tracked vs
-//! probabilistic RRS).
+//! calls out (CAM vs CAT tracker).
 
 use std::hint::black_box;
 
 use bench::harness::Harness;
-use rrs::core::swap::{SwapEngine, SwapMode};
 use rrs::core::tracker::{CamTracker, CatTracker, HotRowTracker, TrackerConfig};
 use rrs::dram::geometry::RowAddr;
-use rrs::dram::timing::TimingParams;
 use rrs::experiments::{ExperimentConfig, MitigationKind};
 use rrs::mem_ctrl::controller::{ControllerConfig, MemoryController};
 use rrs::mem_ctrl::mitigation::NoMitigation;
@@ -110,31 +107,11 @@ fn bench_ablation_trackers(h: &mut Harness) {
     });
 }
 
-/// Ablation: buffered swaps vs RowClone-accelerated swaps (§8.1).
-fn bench_ablation_swap_modes(h: &mut Harness) {
-    let timing = TimingParams::ddr4_3200();
-    for (name, mode) in [
-        ("buffered", SwapMode::Buffered),
-        ("rowclone", SwapMode::RowClone),
-    ] {
-        h.bench(&format!("ablation_swap_mode/{name}"), |b| {
-            let mut engine = SwapEngine::new(&timing, 8 * 1024, mode);
-            let mut now = 0u64;
-            b.iter(|| {
-                now += 36_000; // T_RRS activations' worth of time
-                now = engine.record_swap(now);
-                black_box(now)
-            })
-        });
-    }
-}
-
 fn main() {
     let mut h = Harness::from_args();
     bench_controller_paths(&mut h);
     bench_mitigated_epochs(&mut h);
     bench_benign_slice(&mut h);
     bench_ablation_trackers(&mut h);
-    bench_ablation_swap_modes(&mut h);
     h.finish();
 }

@@ -10,9 +10,7 @@ use rrs::core::prince::Prince;
 use rrs::core::prng::PrinceCtrRng;
 use rrs::core::rit::RowIndirectionTable;
 use rrs::core::rrs::{BankRrs, RrsConfig};
-use rrs::core::swap::{SwapEngine, SwapMode};
 use rrs::core::tracker::{CatTracker, HotRowTracker, TrackerConfig};
-use rrs::dram::timing::TimingParams;
 
 fn bench_prince(h: &mut Harness) {
     let cipher = Prince::new(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210);
@@ -130,18 +128,6 @@ fn bench_bank_rrs(h: &mut Harness) {
     });
 }
 
-fn bench_swap_engine(h: &mut Harness) {
-    let timing = TimingParams::ddr4_3200();
-    h.bench("swap_engine/record_swap", |b| {
-        let mut e = SwapEngine::new(&timing, 8 * 1024, SwapMode::Buffered);
-        let mut now = 0;
-        b.iter(|| {
-            now += 100_000;
-            black_box(e.record_swap(now))
-        })
-    });
-}
-
 fn main() {
     let mut h = Harness::from_args();
     bench_prince(&mut h);
@@ -149,6 +135,5 @@ fn main() {
     bench_tracker(&mut h);
     bench_rit(&mut h);
     bench_bank_rrs(&mut h);
-    bench_swap_engine(&mut h);
     h.finish();
 }

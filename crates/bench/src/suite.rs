@@ -2,7 +2,7 @@
 //!
 //! One programmatic registry of the operations whose regressions matter:
 //! the per-access hardware structures (PRINCE, RIT lookup, tracker
-//! update), the swap engine, trace serialization/parsing, telemetry
+//! update), trace serialization/parsing, telemetry
 //! emission, and one end-to-end smoke cell. `rrs bench-report` runs this
 //! suite and snapshots the medians into `BENCH_*.json`, so the perf
 //! trajectory across PRs is a diffable artifact instead of folklore.
@@ -16,9 +16,7 @@ use std::hint::black_box;
 use rrs::core::prince::Prince;
 use rrs::core::prng::PrinceCtrRng;
 use rrs::core::rrs::{BankRrs, RrsConfig};
-use rrs::core::swap::{SwapEngine, SwapMode};
 use rrs::core::tracker::{CatTracker, HotRowTracker, TrackerConfig};
-use rrs::dram::timing::TimingParams;
 use rrs::experiments::{ExperimentConfig, MitigationKind};
 use rrs::telemetry::{Event, Telemetry};
 use rrs_json::Json;
@@ -29,7 +27,6 @@ use crate::harness::Harness;
 pub fn standard_suite(h: &mut Harness) {
     bench_prince(h);
     bench_rrs_engine(h);
-    bench_swap_engine(h);
     bench_telemetry(h);
     bench_json(h);
     bench_sim_cell(h);
@@ -71,18 +68,6 @@ fn bench_rrs_engine(h: &mut Harness) {
         b.iter(|| {
             row = row.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
             black_box(t.record_access(row >> 40))
-        })
-    });
-}
-
-fn bench_swap_engine(h: &mut Harness) {
-    let timing = TimingParams::ddr4_3200();
-    h.bench("swap/record_swap_of", |b| {
-        let mut e = SwapEngine::new(&timing, 8 * 1024, SwapMode::Buffered);
-        let mut now = 0u64;
-        b.iter(|| {
-            now += 1_000;
-            black_box(e.record_swap_of(now, 0, 10, 900))
         })
     });
 }

@@ -843,6 +843,15 @@ fn cmd_bench_report(flags: &Flags) -> Result<(), CliError> {
             None => println!("  {:<40}      new", r.name),
         }
     }
+    // A baseline entry this suite no longer runs is listed, never gated:
+    // silently dropping it would hide a benchmark's removal.
+    if let Some(Json::Obj(prior_benches)) = prior.get("benches") {
+        for (name, _) in prior_benches {
+            if !h.records().iter().any(|r| r.name == *name) {
+                println!("  {name:<40}  removed");
+            }
+        }
+    }
     if regressions > 0 {
         println!(
             "{regressions} benchmark(s) regressed more than {regress_pct:.0}% \
@@ -1254,6 +1263,21 @@ mpki 12
         let cmd = format!(
             "bench-report --smoke --gate 100000 --baseline {} --out {}",
             baseline.display(),
+            out.display()
+        );
+        dispatch(&argv(&cmd)).unwrap();
+
+        // A baseline entry the suite no longer runs is reported as removed,
+        // not gated: the same generous gate still passes.
+        let extra = dir.join("BENCH_EXTRA.json");
+        std::fs::write(
+            &extra,
+            r#"{"schema":"rrs-bench-v1","benches":{"prince/encrypt":{"median_ns":1000000},"retired/bench":{"median_ns":1.0}}}"#,
+        )
+        .unwrap();
+        let cmd = format!(
+            "bench-report --smoke --gate 100000 --baseline {} --out {}",
+            extra.display(),
             out.display()
         );
         dispatch(&argv(&cmd)).unwrap();

@@ -3,7 +3,7 @@
 //!
 //! Each audit is a *pure observer*: it walks a structure's state and
 //! returns `Err(AuditError)` on the first inconsistency, without mutating
-//! anything. Three audits are provided:
+//! anything. Two audits are provided:
 //!
 //! * [`RitAudit`] — the Row Indirection Table must always encode a sparse
 //!   *permutation*: forward and reverse maps the same size, no stored
@@ -14,13 +14,10 @@
 //!   its occupied slots, no tag may be resident twice, and every resident
 //!   tag must sit in one of the two sets its keyed hashes select (§6.1) —
 //!   a misplaced tag would be unfindable and silently leak a slot.
-//! * [`SwapAudit`] — the swap engine's latency accounting must balance:
-//!   `busy_cycles = (swaps + unswaps) × swap_cost` (§4.4's fixed-cost
-//!   model) and per-epoch counters can never exceed lifetime totals.
 //!
-//! In debug builds the mutating operations of [`RowIndirectionTable`] and
-//! [`SwapEngine`] invoke their audit automatically (sampled, so property
-//! tests stay fast); release builds pay nothing. Tests can also call the
+//! In debug builds the mutating operations of [`RowIndirectionTable`]
+//! invoke their audit automatically (sampled, so property tests stay
+//! fast); release builds pay nothing. Tests can also call the
 //! audits directly — see `crates/core/tests/audits.rs`, which includes
 //! negative tests driving each audit over deliberately corrupted state.
 
@@ -28,7 +25,6 @@ use std::fmt;
 
 use crate::cat::Cat;
 use crate::rit::RowIndirectionTable;
-use crate::swap::SwapEngine;
 
 /// The first inconsistency an audit found.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -89,21 +85,6 @@ pub enum AuditError {
         /// Set the table's hash actually selects for this tag.
         expected_set: usize,
     },
-    /// The swap engine's busy-cycle total does not equal
-    /// `(swaps + unswaps) × swap_cost`.
-    SwapAccountingMismatch {
-        /// Recorded busy cycles.
-        busy_cycles: u64,
-        /// What the operation counts imply.
-        expected: u64,
-    },
-    /// The per-epoch swap counter exceeds the lifetime swap total.
-    SwapEpochExceedsTotal {
-        /// Swaps recorded this epoch.
-        epoch_swaps: u64,
-        /// Lifetime swaps.
-        swaps: u64,
-    },
     /// The CAT's flat lookup index disagrees with an authoritative two-set
     /// scan for a resident tag — the hot-path lookup and the slot arrays
     /// have diverged.
@@ -162,17 +143,6 @@ impl fmt::Display for AuditError {
                 f,
                 "CAT tag {tag:#x} resides in table {table} set {set}, but hashes to set \
                  {expected_set}"
-            ),
-            AuditError::SwapAccountingMismatch {
-                busy_cycles,
-                expected,
-            } => write!(
-                f,
-                "swap engine reports {busy_cycles} busy cycles; operation counts imply {expected}"
-            ),
-            AuditError::SwapEpochExceedsTotal { epoch_swaps, swaps } => write!(
-                f,
-                "swap engine epoch counter ({epoch_swaps}) exceeds lifetime swaps ({swaps})"
             ),
             AuditError::CatIndexIncoherent { tag } => {
                 write!(
@@ -308,35 +278,6 @@ impl CatAudit {
             if cat.locate(tag) != cat.find_by_scan(tag) {
                 return Err(AuditError::CatIndexIncoherent { tag });
             }
-        }
-        Ok(())
-    }
-}
-
-/// Verifies a [`SwapEngine`]'s latency accounting.
-pub struct SwapAudit;
-
-impl SwapAudit {
-    /// Checks the swap engine's accounting; returns the first violation.
-    ///
-    /// # Errors
-    ///
-    /// Any `Swap*` variant of [`AuditError`].
-    pub fn verify(engine: &SwapEngine) -> Result<(), AuditError> {
-        let stats = engine.stats();
-        let ops = stats.swaps + stats.unswaps;
-        let expected = ops * engine.swap_cost();
-        if stats.busy_cycles != expected {
-            return Err(AuditError::SwapAccountingMismatch {
-                busy_cycles: stats.busy_cycles,
-                expected,
-            });
-        }
-        if stats.epoch_swaps > stats.swaps {
-            return Err(AuditError::SwapEpochExceedsTotal {
-                epoch_swaps: stats.epoch_swaps,
-                swaps: stats.swaps,
-            });
         }
         Ok(())
     }

@@ -16,12 +16,11 @@
 //!   associative substrate both structures share;
 //! * [`prince`] / [`prng`] — the PRINCE low-latency cipher and the CTR-mode
 //!   PRNG that generates swap destinations (§4.4);
-//! * [`swap`] — the swap-buffer engine and its latency model (§4.4);
 //! * [`rrs`] — the assembled engine: [`Rrs`] (system-wide) and [`BankRrs`]
 //!   (per bank);
 //! * [`detector`] — the optional attack-detection co-design (§5.3.2 fn. 2);
-//! * [`audit`] — debug-gated ghost-state audits of the RIT permutation,
-//!   CAT occupancy, and swap-accounting invariants.
+//! * [`audit`] — debug-gated ghost-state audits of the RIT permutation
+//!   and CAT occupancy invariants.
 //!
 //! # Quick start
 //!
@@ -55,10 +54,9 @@ pub mod prng;
 pub mod rit;
 pub mod rng;
 pub mod rrs;
-pub mod swap;
 pub mod tracker;
 
-pub use audit::{AuditError, CatAudit, RitAudit, SwapAudit};
+pub use audit::{AuditError, CatAudit, RitAudit};
 pub use cat::{Cat, CatConfig, CatConflict};
 pub use detector::{DetectorConfig, SwapDetector};
 pub use prince::Prince;
@@ -66,7 +64,6 @@ pub use prng::PrinceCtrRng;
 pub use rit::{PhysicalSwap, RitError, RowIndirectionTable};
 pub use rng::DetRng;
 pub use rrs::{BankRrs, BankRrsStats, Rrs, RrsAction, RrsConfig, DEFAULT_K};
-pub use swap::{SwapEngine, SwapMode, SwapStats};
 pub use tracker::{
     AccessVerdict, CamTracker, CatTracker, CbfTracker, HotRowTracker, TrackerConfig,
 };

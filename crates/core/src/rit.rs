@@ -100,7 +100,7 @@ impl ResolveTlb {
 }
 
 /// A physical exchange of two DRAM rows' contents, to be executed (and
-/// charged) by the memory controller / swap engine.
+/// charged) by the memory controller.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PhysicalSwap {
     /// One physical row id.

@@ -15,7 +15,6 @@ use rrs_dram::geometry::{DramGeometry, RowAddr};
 use crate::detector::{DetectorConfig, SwapDetector};
 use crate::prng::PrinceCtrRng;
 use crate::rit::{PhysicalSwap, RitError, RowIndirectionTable};
-use crate::swap::SwapMode;
 use crate::tracker::{CatTracker, HotRowTracker, TrackerConfig};
 
 /// Paper default: `T_RH / T_RRS` (the `k` of §5.3; Table 4 selects k = 6).
@@ -41,8 +40,6 @@ pub struct RrsConfig {
     pub rit_lookup_cycles: u64,
     /// PRNG / hash seed.
     pub seed: u128,
-    /// Physical exchange mechanism.
-    pub swap_mode: SwapMode,
     /// Optional attack-detection co-design (§5.3.2 footnote 2).
     pub detector: Option<DetectorConfig>,
 }
@@ -78,7 +75,6 @@ impl RrsConfig {
             rit_tuples: 2 * tracker_entries,
             rit_lookup_cycles: 4,
             seed: 0x5252_535f_5345_4544, // "RRS_SEED"
-            swap_mode: SwapMode::Buffered,
             detector: None,
         }
     }
@@ -92,12 +88,6 @@ impl RrsConfig {
     /// Enables the attack-detection extension.
     pub fn with_detector(mut self, detector: DetectorConfig) -> Self {
         self.detector = Some(detector);
-        self
-    }
-
-    /// Selects the physical exchange mechanism.
-    pub fn with_swap_mode(mut self, mode: SwapMode) -> Self {
-        self.swap_mode = mode;
         self
     }
 

@@ -2,11 +2,9 @@
 //! through the public API) and negative (audits reject deliberately
 //! corrupted structures, and the debug-build wiring trips on them).
 
-use rrs_core::audit::{AuditError, CatAudit, RitAudit, SwapAudit};
+use rrs_core::audit::{AuditError, CatAudit, RitAudit};
 use rrs_core::cat::{Cat, CatConfig};
 use rrs_core::rit::RowIndirectionTable;
-use rrs_core::swap::{SwapEngine, SwapMode};
-use rrs_dram::timing::TimingParams;
 
 fn small_cat() -> Cat<u32> {
     Cat::new(CatConfig {
@@ -17,15 +15,10 @@ fn small_cat() -> Cat<u32> {
     })
 }
 
-fn engine() -> SwapEngine {
-    SwapEngine::new(&TimingParams::ddr4_3200(), 8 * 1024, SwapMode::Buffered)
-}
-
 #[test]
 fn audits_accept_freshly_built_structures() {
     RitAudit::verify(&RowIndirectionTable::new(16, 0x5EED)).unwrap();
     CatAudit::verify(&small_cat()).unwrap();
-    SwapAudit::verify(&engine()).unwrap();
 }
 
 #[test]
@@ -65,23 +58,6 @@ fn cat_audit_accepts_any_reachable_state() {
             let _ = cat.insert(tag, (x >> 48) as u32);
         }
         CatAudit::verify(&cat).unwrap();
-    }
-}
-
-#[test]
-fn swap_audit_accepts_any_reachable_state() {
-    let mut e = engine();
-    let mut now = 0;
-    for i in 0..50u64 {
-        now = if i % 3 == 0 {
-            e.record_unswap(now)
-        } else {
-            e.record_swap(now)
-        };
-        if i % 10 == 0 {
-            e.end_epoch();
-        }
-        SwapAudit::verify(&e).unwrap();
     }
 }
 
@@ -169,17 +145,6 @@ fn stale_resolve_tlb_fails_the_audit() {
     assert!(err.to_string().contains("resolve-TLB"));
 }
 
-#[test]
-fn corrupted_swap_accounting_fails_the_audit() {
-    let mut e = engine();
-    e.record_swap(0);
-    SwapAudit::verify(&e).unwrap();
-    e.corrupt_busy_cycles_for_test();
-    let err = SwapAudit::verify(&e).expect_err("corruption must be caught");
-    assert!(matches!(err, AuditError::SwapAccountingMismatch { .. }));
-    assert!(err.to_string().contains("busy cycles"));
-}
-
 /// The debug-build wiring itself must trip: a corrupted RIT panics at the
 /// next epoch boundary (where the audit always runs).
 #[test]
@@ -189,14 +154,4 @@ fn corrupted_rit_trips_debug_audit_at_epoch_end() {
     let mut rit = RowIndirectionTable::new(16, 0x1);
     rit.corrupt_forward_for_test(5, 9);
     rit.end_epoch();
-}
-
-/// Same for the swap engine, which audits after every recorded operation.
-#[test]
-#[cfg(debug_assertions)]
-#[should_panic(expected = "ghost-state audit failed")]
-fn corrupted_swap_engine_trips_debug_audit() {
-    let mut e = engine();
-    e.corrupt_busy_cycles_for_test();
-    e.record_swap(0);
 }

@@ -41,8 +41,9 @@ pub struct ControllerConfig {
     pub timing: TimingParams,
     /// Fault-model parameters.
     pub hammer: HammerConfig,
-    /// Channel-blocking cycles of one row swap (defaults to the buffered
-    /// swap-engine latency for the geometry's row size, ≈1.46 µs).
+    /// Channel-blocking cycles of one row swap (defaults to the four
+    /// swap-buffer row transfers for the geometry's row size, ≈1.46 µs;
+    /// RowClone configurations charge `4 · tRC` instead).
     pub swap_cycles: Cycle,
     /// Activation-count threshold for the per-epoch "hot rows" statistic
     /// (the paper's ACT-800+ of Table 3). Scale along with the epoch.
@@ -288,33 +289,6 @@ impl MemoryController {
             epoch_hot_row_history: m
                 .epoch_hot_row_history
                 .values()
-                .into_iter()
-                .map(|v| v as usize)
-                .collect(),
-        }
-    }
-
-    /// Takes the accumulated statistics, resetting the controller's
-    /// registry metrics — end-of-run consumers use this to drain the epoch
-    /// histories without cloning.
-    pub fn take_stats(&mut self) -> ControllerStats {
-        let m = &self.metrics;
-        ControllerStats {
-            reads: m.reads.take(),
-            writes: m.writes.take(),
-            activations: m.activations.take(),
-            row_hits: m.row_hits.take(),
-            swaps: m.swaps.take(),
-            unswaps: m.unswaps.take(),
-            targeted_refreshes: m.targeted_refreshes.take(),
-            full_refreshes: m.full_refreshes.take(),
-            mitigation_delay_cycles: m.mitigation_delay_cycles.take(),
-            swap_busy_cycles: m.swap_busy_cycles.take(),
-            epochs_completed: m.epochs_completed.take(),
-            epoch_swap_history: m.epoch_swap_history.take(),
-            epoch_hot_row_history: m
-                .epoch_hot_row_history
-                .take()
                 .into_iter()
                 .map(|v| v as usize)
                 .collect(),
@@ -606,6 +580,9 @@ impl std::fmt::Debug for MemoryController {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+    use std::rc::Rc;
+
     use super::*;
     use crate::mitigation::NoMitigation;
 
@@ -754,40 +731,68 @@ mod tests {
         assert!(c.stats().targeted_refreshes > 0);
     }
 
+    /// Returns `swaps` row swaps from the first activation only and
+    /// records that activation's cycle in `fired_at`.
+    struct SwapBurst {
+        swaps: u32,
+        fired_at: Rc<Cell<Option<Cycle>>>,
+    }
+
+    impl Mitigation for SwapBurst {
+        fn name(&self) -> &str {
+            "swap-burst"
+        }
+        fn on_activation(&mut self, row: RowAddr, at: Cycle, actions: &mut Vec<MitigationAction>) {
+            if self.fired_at.get().is_some() {
+                return;
+            }
+            self.fired_at.set(Some(at));
+            for i in 1..=self.swaps {
+                actions.push(MitigationAction::RowSwap {
+                    a: row,
+                    b: row.with_row(row.row.0 + 50 * i),
+                });
+            }
+        }
+    }
+
     #[test]
     fn row_swap_action_blocks_channel_and_costs_time() {
-        struct SwapOnce {
-            done: bool,
-        }
-        impl Mitigation for SwapOnce {
-            fn name(&self) -> &str {
-                "swap-once"
-            }
-            fn on_activation(
-                &mut self,
-                row: RowAddr,
-                _at: Cycle,
-                actions: &mut Vec<MitigationAction>,
-            ) {
-                if !self.done {
-                    self.done = true;
-                    actions.push(MitigationAction::RowSwap {
-                        a: row,
-                        b: row.with_row(row.row.0 + 50),
-                    });
-                }
-            }
-        }
-        let mut c = MemoryController::new(
-            ControllerConfig::test_config(),
-            Box::new(SwapOnce { done: false }),
-        );
+        let swap_once = SwapBurst {
+            swaps: 1,
+            fired_at: Rc::default(),
+        };
+        let mut c = MemoryController::new(ControllerConfig::test_config(), Box::new(swap_once));
         let d1 = c.access(0, false, 0);
         assert_eq!(c.stats().swaps, 1);
         assert!(c.stats().swap_busy_cycles > 4_000); // ~1.46 µs at 3.2 GHz
                                                      // Next access on the channel waits out the swap.
         let d2 = c.access(1 << 20, false, d1);
         assert!(d2 >= c.stats().swap_busy_cycles);
+    }
+
+    #[test]
+    fn swaps_serialize_on_the_channel() {
+        // Two swaps from one activation run back to back, not overlapped:
+        // the channel's next access waits out both.
+        let fired_at = Rc::default();
+        let swap_twice = SwapBurst {
+            swaps: 2,
+            fired_at: Rc::clone(&fired_at),
+        };
+        let cfg = ControllerConfig::test_config();
+        let swap_cycles = cfg.swap_cycles;
+        let mut c = MemoryController::new(cfg, Box::new(swap_twice));
+        let d1 = c.access(0, false, 0);
+        let at = fired_at.get().expect("the first access activates");
+        assert_eq!(c.stats().swaps, 2);
+        assert_eq!(c.stats().swap_busy_cycles, 2 * swap_cycles);
+        let d2 = c.access(1 << 20, false, d1);
+        assert!(
+            d2 >= at + 2 * swap_cycles,
+            "next access done at {d2}, swaps from {at} need {}",
+            2 * swap_cycles
+        );
     }
 
     #[test]

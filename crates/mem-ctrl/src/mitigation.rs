@@ -25,7 +25,7 @@ pub enum MitigationAction {
     /// one row-cycle, and — crucially — disturbs *its* neighbours (§2.5).
     TargetedRefresh(RowAddr),
     /// Exchange the contents of two physical rows (RRS swap / re-swap);
-    /// blocks the channel for the swap-engine latency.
+    /// blocks the channel for `ControllerConfig::swap_cycles`.
     RowSwap {
         /// One physical row.
         a: RowAddr,

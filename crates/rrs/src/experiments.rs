@@ -44,7 +44,8 @@ pub struct ExperimentConfig {
     /// Row Hammer threshold at full scale (before division by `scale`).
     pub full_scale_t_rh: u64,
     /// Use RowClone-accelerated in-DRAM row copies for swaps (§8.1's
-    /// latency-reduction option) instead of the buffered swap engine.
+    /// latency-reduction option) instead of streaming through the
+    /// per-channel swap buffers.
     pub rowclone: bool,
     /// Scale the swap latency with the epoch (default). Keeps the
     /// swap-time *fraction* of a window — Figures 5/6's quantity —
@@ -137,7 +138,7 @@ impl ExperimentConfig {
         // is preserved (a fixed 1.46 µs against a shrunken window would
         // overstate the overhead by the scale factor).
         let full_swap_cycles = if self.rowclone {
-            // Four in-DRAM copies at one row cycle each (§8.1 / SwapMode).
+            // Four in-DRAM copies at one row cycle each (§8.1).
             4 * timing.t_rc
         } else {
             timing.row_swap_cycles(geometry.row_size_bytes)

@@ -7,7 +7,7 @@
 //! and Victim Rows* (Saileshwar, Wang, Qureshi, Nair — ASPLOS 2022):
 //!
 //! * [`core`] — the RRS mechanism: Misra-Gries tracker, Row Indirection
-//!   Table, Collision Avoidance Tables, PRINCE PRNG, swap engine;
+//!   Table, Collision Avoidance Tables, PRINCE PRNG;
 //! * [`dram`] — the DRAM device model and Row Hammer fault model;
 //! * [`mem_ctrl`] — the memory controller and the [`Mitigation`] interface;
 //! * [`sim`] — the trace-driven multi-core simulator;

@@ -36,5 +36,5 @@ pub mod trace;
 pub use config::SystemConfig;
 pub use latency::LatencyStats;
 pub use llc::{Llc, LlcConfig};
-pub use runner::{run, run_probed, run_with, SimResult};
+pub use runner::{run, run_probed, SimResult};
 pub use trace::{TraceRecord, TraceSource};

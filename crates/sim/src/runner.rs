@@ -184,21 +184,6 @@ struct CoreState {
     finish_time: Option<Cycle>,
 }
 
-/// Runs one simulation from *factories* rather than built instances.
-///
-/// The campaign engine describes cells declaratively and materializes the
-/// mitigation and per-core sources only when — and on whichever worker
-/// thread — the cell actually executes; call sites that already hold built
-/// instances should keep using [`run`].
-pub fn run_with<'a>(
-    config: &SystemConfig,
-    mitigation: impl FnOnce() -> Box<dyn Mitigation>,
-    sources: impl FnOnce() -> Vec<Box<dyn TraceSource + 'a>>,
-    workload_name: &str,
-) -> SimResult {
-    run(config, mitigation(), sources(), workload_name)
-}
-
 /// Runs one simulation: `sources[i]` drives core `i`.
 ///
 /// Equivalent to [`run_probed`] with a fresh, disabled telemetry spine:
@@ -506,19 +491,6 @@ mod tests {
     fn wrong_source_count_panics() {
         let config = SystemConfig::test_config(100);
         run(&config, Box::new(NoMitigation::new()), vec![], "bad");
-    }
-
-    #[test]
-    fn run_with_builds_from_factories() {
-        let config = SystemConfig::test_config(1_000);
-        let r = run_with(
-            &config,
-            || Box::new(NoMitigation::new()),
-            || vec![stream_source(64, 0), stream_source(64, 1 << 24)],
-            "factory",
-        );
-        assert_eq!(r.workload, "factory");
-        assert!(r.aggregate_ipc() > 0.0);
     }
 
     fn empty_result() -> SimResult {

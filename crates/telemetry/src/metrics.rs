@@ -50,12 +50,6 @@ impl Counter {
     pub fn get(&self) -> u64 {
         self.0.get()
     }
-
-    /// Returns the value and resets it to zero (snapshot-drain semantics,
-    /// the registry equivalent of `mem::take` on a stat field).
-    pub fn take(&self) -> u64 {
-        self.0.replace(0)
-    }
 }
 
 /// A current-value metric that may move both ways (occupancies, depths).
@@ -138,11 +132,6 @@ impl Histogram {
     pub fn snapshot(&self) -> HistogramSnapshot {
         *self.0.borrow()
     }
-
-    /// Returns the state and resets the histogram.
-    pub fn take(&self) -> HistogramSnapshot {
-        self.0.replace(HistogramSnapshot::default())
-    }
 }
 
 /// An append-only sequence of `u64` samples (one per epoch, typically).
@@ -168,11 +157,6 @@ impl Series {
     /// An owned copy of the samples.
     pub fn values(&self) -> Vec<u64> {
         self.0.borrow().clone()
-    }
-
-    /// Returns the samples and resets the series.
-    pub fn take(&self) -> Vec<u64> {
-        std::mem::take(&mut *self.0.borrow_mut())
     }
 }
 
@@ -374,8 +358,6 @@ mod tests {
         b.inc();
         assert_eq!(a.get(), 4);
         assert_eq!(r.counter_values(), vec![("x".to_string(), 4)]);
-        assert_eq!(a.take(), 4);
-        assert_eq!(b.get(), 0);
     }
 
     #[test]

@@ -9,7 +9,6 @@
 //! Run with: `cargo run --example paper_walkthrough`
 
 use rrs::core::rrs::{BankRrs, RrsAction, RrsConfig};
-use rrs::core::swap::{SwapEngine, SwapMode};
 use rrs::core::tracker::{CamTracker, HotRowTracker, TrackerConfig};
 use rrs::dram::timing::TimingParams;
 
@@ -84,11 +83,9 @@ fn figure4() {
     println!("  (b) Row-Y -> Swap-Buffer-2   {transfer_ns:.0} ns");
     println!("  (c) Buffer-1 -> Row-Y        {transfer_ns:.0} ns");
     println!("  (d) Buffer-2 -> Row-X        {transfer_ns:.0} ns, RIT <- (X,Y)");
-    let mut engine = SwapEngine::new(&timing, row_bytes, SwapMode::Buffered);
-    let done = engine.record_swap(0);
     println!(
         "  total: {:.2} µs per swap (paper: ~1.46 µs); swap+unswap: {:.2} µs\n",
-        timing.cycles_to_ns(done) / 1e3,
+        timing.cycles_to_ns(timing.row_swap_cycles(row_bytes)) / 1e3,
         timing.cycles_to_ns(timing.swap_plus_unswap_cycles(row_bytes)) / 1e3,
     );
 }

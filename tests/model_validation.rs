@@ -1,30 +1,63 @@
 //! Cross-validation between the analytic models (`rrs-analysis`) and the
-//! executable structures (`rrs-core`): the models must describe the same
-//! system the simulator runs.
+//! executable structures (`rrs-core`, the memory controller): the models
+//! must describe the same system the simulator runs.
 
 use rrs::analysis::attack_model::AttackModel;
 use rrs::analysis::cat_model::CatModel;
 use rrs::analysis::storage::table5;
 use rrs::core::cat::{Cat, CatConfig};
 use rrs::core::rrs::RrsConfig;
-use rrs::core::swap::{SwapEngine, SwapMode};
-use rrs::dram::timing::TimingParams;
+use rrs::dram::geometry::RowAddr;
+use rrs::dram::timing::{Cycle, TimingParams};
+use rrs::experiments::ExperimentConfig;
+use rrs::mem_ctrl::controller::{ControllerConfig, MemoryController, PagePolicy};
+use rrs::mem_ctrl::mitigation::MitigationAction;
+use rrs::Mitigation;
+
+/// Swaps, then immediately unswaps, the activated row every `t`
+/// activations: the single-bank attack §5.3.1's duty cycle describes.
+struct SwapEvery {
+    t: u64,
+    activations: u64,
+}
+
+impl Mitigation for SwapEvery {
+    fn name(&self) -> &str {
+        "swap-every"
+    }
+
+    fn on_activation(&mut self, row: RowAddr, _at: Cycle, actions: &mut Vec<MitigationAction>) {
+        self.activations += 1;
+        if self.activations.is_multiple_of(self.t) {
+            let (a, b) = (row, row.with_row(row.row.0 ^ 1));
+            actions.push(MitigationAction::RowSwap { a, b });
+            actions.push(MitigationAction::RowUnswap { a, b });
+        }
+    }
+}
 
 #[test]
-fn analytic_duty_cycle_matches_swap_engine_accounting() {
-    // §5.3.1's D = 0.925: alternate T_RRS activations with a swap+unswap
-    // on the engine and compare the measured busy fraction.
-    let t = TimingParams::ddr4_3200();
-    let model = AttackModel::asplos22();
-    let mut engine = SwapEngine::new(&t, 8 * 1024, SwapMode::Buffered);
+fn analytic_duty_cycle_matches_controller_swap_accounting() {
+    // §5.3.1's D = 0.925: hammer one row under a closed page so every
+    // access activates, swap+unswap every T_RRS = 800 activations, and
+    // compare the controller's measured busy fraction.
+    let mut config = ControllerConfig::asplos22_baseline();
+    config.page_policy = PagePolicy::Closed;
+    let mut mc = MemoryController::new(
+        config,
+        Box::new(SwapEvery {
+            t: 800,
+            activations: 0,
+        }),
+    );
     let mut now = 0;
-    for _ in 0..200 {
-        now += 800 * t.t_rc;
-        now = engine.record_swap(now);
-        now = engine.record_unswap(now);
+    for _ in 0..200 * 800 {
+        now = mc.access(0, false, now);
     }
-    let measured_d = 1.0 - engine.busy_fraction(now);
-    let analytic_d = model.duty_cycle(800);
+    let stats = mc.stats();
+    assert_eq!((stats.swaps, stats.unswaps), (200, 200));
+    let measured_d = 1.0 - stats.swap_busy_cycles as f64 / now as f64;
+    let analytic_d = AttackModel::asplos22().duty_cycle(800);
     assert!(
         (measured_d - analytic_d).abs() < 0.01,
         "measured D = {measured_d}, analytic D = {analytic_d}"
@@ -111,11 +144,23 @@ fn storage_model_matches_design_point_structures() {
 
 #[test]
 fn swap_latency_model_matches_timing_derivation() {
-    // §4.4's 1.46 µs swap is both a TimingParams derivation and the swap
-    // engine's cost; they must agree.
+    // §4.4's 1.46 µs swap is a TimingParams derivation; at paper scale it
+    // is exactly what the controller charges per swap. RowClone (§8.1)
+    // replaces it with four in-DRAM row copies of one row cycle each.
+    let paper_scale = ExperimentConfig {
+        scale: 1,
+        ..ExperimentConfig::default()
+    };
     let t = TimingParams::ddr4_3200();
-    let engine = SwapEngine::new(&t, 8 * 1024, SwapMode::Buffered);
-    assert_eq!(engine.swap_cost(), t.row_swap_cycles(8 * 1024));
+    let buffered = paper_scale.system_config().controller.swap_cycles;
+    assert_eq!(buffered, t.row_swap_cycles(8 * 1024));
+    let rowclone = paper_scale
+        .with_rowclone()
+        .system_config()
+        .controller
+        .swap_cycles;
+    assert_eq!(rowclone, 4 * t.t_rc);
+    assert!(rowclone * 4 < buffered, "RowClone must be much faster");
 }
 
 #[test]
