@@ -120,8 +120,7 @@ fn bench_json(h: &mut Harness) {
 fn bench_sim_cell(h: &mut Harness) {
     // One tiny end-to-end attack cell: catches regressions that only
     // appear when all layers interact.
-    let mut cfg = ExperimentConfig::smoke_test();
-    cfg.instructions_per_core = 5_000;
+    let cfg = ExperimentConfig::smoke_test();
     h.bench("sim/smoke_attack_cell", |b| {
         b.iter(|| {
             black_box(cfg.run_attack(

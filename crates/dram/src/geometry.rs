@@ -106,16 +106,19 @@ impl RowAddr {
         Some(self.with_row(r))
     }
 
-    /// Both neighbours at `distance`, clipped at the bank edge.
-    pub fn neighbors(self, distance: u32, geometry: &DramGeometry) -> Vec<RowAddr> {
-        let mut v = Vec::with_capacity(2);
-        if let Some(n) = self.neighbor_below(distance) {
-            v.push(n);
-        }
-        if let Some(n) = self.neighbor_above(distance, geometry) {
-            v.push(n);
-        }
-        v
+    /// Both neighbours at `distance`, clipped at the bank edge: the one
+    /// below, then the one above. Allocation-free.
+    pub fn neighbors(
+        self,
+        distance: u32,
+        geometry: &DramGeometry,
+    ) -> impl Iterator<Item = RowAddr> {
+        [
+            self.neighbor_below(distance),
+            self.neighbor_above(distance, geometry),
+        ]
+        .into_iter()
+        .flatten()
     }
 
     /// A dense index over all banks in the system, useful for flat storage.
@@ -247,11 +250,11 @@ mod tests {
     fn neighbors_clip_at_edges() {
         let g = DramGeometry::tiny_test();
         let bottom = RowAddr::new(0, 0, 0, 0);
-        assert_eq!(bottom.neighbors(1, &g).len(), 1);
+        assert_eq!(bottom.neighbors(1, &g).count(), 1);
         let top = RowAddr::new(0, 0, 0, g.rows_per_bank as u32 - 1);
-        assert_eq!(top.neighbors(1, &g).len(), 1);
+        assert_eq!(top.neighbors(1, &g).count(), 1);
         let mid = RowAddr::new(0, 0, 0, 5);
-        let n = mid.neighbors(2, &g);
+        let n: Vec<RowAddr> = mid.neighbors(2, &g).collect();
         assert_eq!(n, vec![mid.with_row(3), mid.with_row(7)]);
     }
 

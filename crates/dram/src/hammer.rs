@@ -18,19 +18,84 @@
 //! The model tracks *physical* rows: under RRS, activations land wherever
 //! the Row Indirection Table currently maps the requested row.
 
-use rrs_flat::{FlatMap, FlatSet};
-
 use crate::geometry::{DramGeometry, RowAddr};
 
-/// Packs a [`RowAddr`] into one word for the flat per-row tables
-/// (channel/rank/bank are `u8`, row is `u32`, so the fields cannot
-/// collide and the packed key never reaches `u64::MAX`).
-#[inline]
-fn pack(addr: RowAddr) -> u64 {
-    (u64::from(addr.channel.0) << 48)
-        | (u64::from(addr.rank.0) << 40)
-        | (u64::from(addr.bank.0) << 32)
-        | u64::from(addr.row.0)
+/// Rows per page of a bank's dense tables. A page is allocated on the
+/// first touch of any of its rows, so memory follows the row ranges a
+/// cell reaches rather than the size of the device.
+const PAGE_ROWS: usize = 512;
+
+/// [`Page::flags`] bit: the row is on its bank's dirty list.
+const DIRTY: u8 = 1;
+/// [`Page::flags`] bit: the row has flipped in the current window.
+const FLIPPED: u8 = 2;
+
+/// Window state of `PAGE_ROWS` consecutive rows of one bank.
+#[derive(Debug, Clone)]
+struct Page {
+    disturbance: [f64; PAGE_ROWS],
+    activations: [u32; PAGE_ROWS],
+    flags: [u8; PAGE_ROWS],
+}
+
+impl Page {
+    fn zeroed() -> Box<Page> {
+        Box::new(Page {
+            disturbance: [0.0; PAGE_ROWS],
+            activations: [0; PAGE_ROWS],
+            flags: [0; PAGE_ROWS],
+        })
+    }
+
+    /// Resets one row to the start-of-window state.
+    fn clear(&mut self, i: usize) {
+        if let (Some(d), Some(a), Some(f)) = (
+            self.disturbance.get_mut(i),
+            self.activations.get_mut(i),
+            self.flags.get_mut(i),
+        ) {
+            (*d, *a, *f) = (0.0, 0, 0);
+        }
+    }
+}
+
+/// One bank's rows: lazily allocated pages plus the list of rows holding
+/// any window state, so epoch ends clear only what was touched.
+#[derive(Debug, Clone)]
+struct BankRows {
+    pages: Vec<Option<Box<Page>>>,
+    /// Rows whose `DIRTY` bit is set, in first-touch order.
+    dirty: Vec<u32>,
+}
+
+impl BankRows {
+    /// `row`'s page (allocated on first touch) and offset, with the row
+    /// put on the dirty list. `None` only past the bank's last page.
+    fn touch(&mut self, row: u32) -> Option<(&mut Page, usize)> {
+        let i = row as usize % PAGE_ROWS;
+        let page = self
+            .pages
+            .get_mut(row as usize / PAGE_ROWS)?
+            .get_or_insert_with(Page::zeroed);
+        let flags = page.flags.get_mut(i)?;
+        if *flags & DIRTY == 0 {
+            *flags |= DIRTY;
+            self.dirty.push(row);
+        }
+        Some((page, i))
+    }
+
+    /// `row`'s page and offset, if the page has been allocated.
+    fn page(&self, row: u32) -> Option<(&Page, usize)> {
+        let page = self.pages.get(row as usize / PAGE_ROWS)?.as_deref()?;
+        Some((page, row as usize % PAGE_ROWS))
+    }
+}
+
+/// `row`'s disturbance slot in `pages`, if its page has been allocated.
+fn disturbance_mut(pages: &mut [Option<Box<Page>>], row: u32) -> Option<&mut f64> {
+    let page = pages.get_mut(row as usize / PAGE_ROWS)?.as_deref_mut()?;
+    page.disturbance.get_mut(row as usize % PAGE_ROWS)
 }
 
 /// The default Row Hammer threshold targeted by the paper: 4.8 K activations
@@ -175,17 +240,16 @@ pub struct BitFlip {
 
 /// The disturbance fault model. Tracks per-physical-row accumulated
 /// disturbance within the current refresh window and reports bit flips.
+///
+/// State lives in dense per-bank pages indexed by row, so an activation's
+/// blast radius lands in adjacent slots of one or two pages. Flips are
+/// emitted in neighbour order at the disturbing activation.
 #[derive(Debug, Clone)]
 pub struct HammerModel {
     config: HammerConfig,
     geometry: DramGeometry,
-    /// Packed `RowAddr` → accumulated disturbance. Iteration order is
-    /// never observed: flips are emitted in neighbour order at the
-    /// disturbing activation, so the flat table changes nothing.
-    disturbance: FlatMap<f64>,
-    /// Packed `RowAddr` → activations this window.
-    activations: FlatMap<u64>,
-    flipped_this_epoch: FlatSet,
+    /// Indexed by [`RowAddr::bank_index`].
+    banks: Vec<BankRows>,
     flips: Vec<BitFlip>,
     total_flips: u64,
     epoch: u64,
@@ -194,12 +258,14 @@ pub struct HammerModel {
 impl HammerModel {
     /// A fresh model at epoch 0 with no accumulated disturbance.
     pub fn new(config: HammerConfig, geometry: DramGeometry) -> Self {
+        let bank = BankRows {
+            pages: vec![None; geometry.rows_per_bank.div_ceil(PAGE_ROWS)],
+            dirty: Vec::new(),
+        };
         HammerModel {
             config,
             geometry,
-            disturbance: FlatMap::new(),
-            activations: FlatMap::new(),
-            flipped_this_epoch: FlatSet::new(),
+            banks: vec![bank; geometry.total_banks()],
             flips: Vec::new(),
             total_flips: 0,
             epoch: 0,
@@ -222,8 +288,14 @@ impl HammerModel {
     /// registers flips that cross `T_RH`.
     pub fn record_activation(&mut self, addr: RowAddr) {
         debug_assert!(self.geometry.contains(addr), "activation out of range");
-        *self.activations.get_or_insert_with(pack(addr), || 0) += 1;
-        self.disturbance.remove(pack(addr));
+        if let Some((page, i)) = self.bank_mut(addr).and_then(|b| b.touch(addr.row.0)) {
+            if let Some(a) = page.activations.get_mut(i) {
+                *a += 1;
+            }
+            if let Some(d) = page.disturbance.get_mut(i) {
+                *d = 0.0;
+            }
+        }
         self.disturb_neighbors(addr);
     }
 
@@ -231,7 +303,12 @@ impl HammerModel {
     /// the row's own charge, and — if configured — disturbs its neighbours
     /// exactly like an activation (the Half-Double enabler).
     pub fn record_targeted_refresh(&mut self, addr: RowAddr) {
-        self.disturbance.remove(pack(addr));
+        if let Some(d) = self
+            .bank_mut(addr)
+            .and_then(|b| disturbance_mut(&mut b.pages, addr.row.0))
+        {
+            *d = 0.0;
+        }
         if self.config.targeted_refresh_disturbs {
             self.disturb_neighbors(addr);
         }
@@ -241,34 +318,56 @@ impl HammerModel {
     /// in the attack-detection co-design of §5.3.2 footnote 2). Does not end
     /// the epoch.
     pub fn full_refresh(&mut self) {
-        self.disturbance.clear();
+        for bank in &mut self.banks {
+            for &row in &bank.dirty {
+                if let Some(d) = disturbance_mut(&mut bank.pages, row) {
+                    *d = 0.0;
+                }
+            }
+        }
     }
 
     /// Ends the refresh window: every row has been refreshed once, so all
     /// accumulated disturbance is cleared and per-window counters reset.
     pub fn end_epoch(&mut self) {
-        self.disturbance.clear();
-        self.activations.clear();
-        self.flipped_this_epoch.clear();
+        for bank in &mut self.banks {
+            let BankRows { pages, dirty } = bank;
+            for row in dirty.drain(..) {
+                let page = pages.get_mut(row as usize / PAGE_ROWS);
+                if let Some(p) = page.and_then(|p| p.as_deref_mut()) {
+                    p.clear(row as usize % PAGE_ROWS);
+                }
+            }
+        }
         self.epoch += 1;
     }
 
+    fn bank_mut(&mut self, addr: RowAddr) -> Option<&mut BankRows> {
+        self.banks.get_mut(addr.bank_index(&self.geometry))
+    }
+
     fn disturb_neighbors(&mut self, addr: RowAddr) {
-        for d in 1..=self.config.blast_radius {
-            let Some(w) = self.config.distance_weights.get(d as usize - 1).copied() else {
-                // blast_radius beyond the configured weights: no disturbance.
-                continue;
-            };
+        let Some(bank) = self.banks.get_mut(addr.bank_index(&self.geometry)) else {
+            return;
+        };
+        let t_rh = self.config.t_rh as f64;
+        // Weights past the configured list disturb nothing.
+        for (d, &w) in (1..=self.config.blast_radius).zip(&self.config.distance_weights) {
             for n in addr.neighbors(d, &self.geometry) {
-                let key = pack(n);
-                let e = self.disturbance.get_or_insert_with(key, || 0.0);
+                let Some((page, i)) = bank.touch(n.row.0) else {
+                    continue;
+                };
+                let (Some(e), Some(flags)) = (page.disturbance.get_mut(i), page.flags.get_mut(i))
+                else {
+                    continue;
+                };
                 *e += w;
-                let disturbance = *e;
-                if disturbance >= self.config.t_rh as f64 && self.flipped_this_epoch.insert(key) {
+                if *e >= t_rh && *flags & FLIPPED == 0 {
+                    *flags |= FLIPPED;
                     self.flips.push(BitFlip {
                         victim: n,
                         epoch: self.epoch,
-                        disturbance,
+                        disturbance: *e,
                     });
                     self.total_flips += 1;
                 }
@@ -278,18 +377,49 @@ impl HammerModel {
 
     /// Accumulated disturbance of `addr` in the current window.
     pub fn disturbance_of(&self, addr: RowAddr) -> f64 {
-        self.disturbance.get(pack(addr)).copied().unwrap_or(0.0)
+        self.page_of(addr)
+            .and_then(|(p, i)| p.disturbance.get(i).copied())
+            .unwrap_or(0.0)
     }
 
     /// Activations of `addr` recorded in the current window.
     pub fn activations_of(&self, addr: RowAddr) -> u64 {
-        self.activations.get(pack(addr)).copied().unwrap_or(0)
+        self.page_of(addr)
+            .and_then(|(p, i)| p.activations.get(i).copied())
+            .map_or(0, u64::from)
+    }
+
+    fn page_of(&self, addr: RowAddr) -> Option<(&Page, usize)> {
+        self.banks
+            .get(addr.bank_index(&self.geometry))?
+            .page(addr.row.0)
     }
 
     /// Number of distinct rows with at least `n` activations this window —
-    /// the paper's "Rows ACT-800+" statistic (Table 3).
+    /// the paper's "Rows ACT-800+" statistic (Table 3). Rows that were only
+    /// disturbed, never activated, do not count, even for `n = 0`.
     pub fn rows_with_activations_at_least(&self, n: u64) -> usize {
-        self.activations.values().filter(|&&c| c >= n).count()
+        self.banks
+            .iter()
+            .map(|bank| {
+                bank.dirty
+                    .iter()
+                    .filter_map(|&row| bank.page(row))
+                    .filter_map(|(p, i)| p.activations.get(i).copied())
+                    .filter(|&c| c > 0 && u64::from(c) >= n)
+                    .count()
+            })
+            .sum()
+    }
+
+    /// Pages allocated across all banks.
+    #[cfg(test)]
+    fn pages_allocated(&self) -> usize {
+        self.banks
+            .iter()
+            .flat_map(|b| &b.pages)
+            .filter(|p| p.is_some())
+            .count()
     }
 
     /// Drains and returns the bit flips recorded since the last call.
@@ -306,6 +436,7 @@ impl HammerModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing::TimingParams;
 
     fn model() -> HammerModel {
         HammerModel::new(HammerConfig::lpddr4_new(), DramGeometry::tiny_test())
@@ -460,5 +591,54 @@ mod tests {
         // Activation statistics survive a full refresh (it restores charge,
         // it doesn't end the accounting window).
         assert_eq!(m.activations_of(agg), 2 * (DEFAULT_T_RH - 1));
+    }
+
+    #[test]
+    fn one_activation_allocates_one_page() {
+        // The property that keeps a cell's memory proportional to the rows
+        // it touches, not to the device: the blast radius of a mid-page row
+        // lands on one page of one bank.
+        let mut m = HammerModel::new(
+            HammerConfig::lpddr4_new(),
+            DramGeometry::asplos22_baseline(),
+        );
+        assert_eq!(m.pages_allocated(), 0);
+        m.record_activation(RowAddr::new(1, 0, 9, 70_000));
+        assert_eq!(m.pages_allocated(), 1);
+        m.end_epoch();
+        assert_eq!(m.pages_allocated(), 1, "epoch end keeps pages for reuse");
+    }
+
+    #[test]
+    fn blast_radius_crosses_page_edge() {
+        let mut m = model();
+        let agg = RowAddr::new(0, 0, 0, PAGE_ROWS as u32 - 1);
+        for _ in 0..DEFAULT_T_RH - 1 {
+            m.record_activation(agg);
+        }
+        assert!(m.take_bit_flips().is_empty());
+        let w2 = m.config().distance_weights[1];
+        let near = (DEFAULT_T_RH - 1) as f64;
+        for (row, expected) in [(509, near * w2), (510, near), (512, near), (513, near * w2)] {
+            let got = m.disturbance_of(agg.with_row(row));
+            assert!(
+                (got - expected).abs() < 1e-6,
+                "row {row}: {got} vs {expected}"
+            );
+        }
+        assert_eq!(m.pages_allocated(), 2);
+        m.record_activation(agg);
+        let victims: Vec<u32> = m.take_bit_flips().iter().map(|f| f.victim.row.0).collect();
+        assert_eq!(victims, vec![510, 512]);
+        assert_eq!(m.rows_with_activations_at_least(1), 1);
+    }
+
+    #[test]
+    fn activation_counts_fit_u32_with_headroom() {
+        // Per-row counts are u32 and reset every window; a row cannot be
+        // activated more often than its bank can issue ACTs in one
+        // (unscaled, the longest) window.
+        let act_max = TimingParams::ddr4_3200().max_activations_per_epoch();
+        assert!(act_max.saturating_mul(1_000) < u64::from(u32::MAX));
     }
 }

@@ -1,7 +1,7 @@
-//! Differential property test pinning the flat-table [`HammerModel`]
+//! Differential property test pinning the paged dense [`HammerModel`]
 //! against an ordered-map reference: identical activation sequences must
 //! produce identical flip sequences (order included), disturbance levels,
-//! and per-window statistics. The flat tables are a pure representation
+//! and per-window statistics. The pages are a pure representation
 //! change — any divergence here is a determinism bug.
 
 use std::collections::{BTreeMap, BTreeSet};
@@ -10,7 +10,7 @@ use rrs_check::check;
 use rrs_dram::geometry::{DramGeometry, RowAddr};
 use rrs_dram::hammer::{HammerConfig, HammerModel};
 
-/// The pre-flat disturbance model, mirrored verbatim over ordered maps.
+/// The original disturbance model, mirrored verbatim over ordered maps.
 struct ReferenceModel {
     config: HammerConfig,
     geometry: DramGeometry,
@@ -73,11 +73,15 @@ fn hammer_model_matches_btreemap_reference() {
             flips: Vec::new(),
             epoch: 0,
         };
-        // A handful of nearby rows so neighbourhoods overlap and flips fire.
-        let rows = 24;
+        // Eight-row windows at both bank edges and across the 511/512 page
+        // boundary, so neighbourhoods overlap, flips fire and both the
+        // edge clipping and the page seam are crossed.
+        let rows = geometry.rows_per_bank as u32;
+        let windows = [0, 508, rows - 8];
         let ops = g.usize_in(1..250);
         for _ in 0..ops {
-            let addr = RowAddr::new(0, 0, g.u8() % 2, g.u32() % rows);
+            let row = g.pick(&windows) + g.u32() % 8;
+            let addr = RowAddr::new(0, 0, g.u8() % 2, row);
             match g.below(12) {
                 0 => {
                     model.record_targeted_refresh(addr);
@@ -86,6 +90,11 @@ fn hammer_model_matches_btreemap_reference() {
                 1 => {
                     model.full_refresh();
                     reference.disturbance.clear();
+                    // Rows only disturbed, never activated, must not count.
+                    assert_eq!(
+                        model.rows_with_activations_at_least(0),
+                        reference.activations.len()
+                    );
                 }
                 2 => {
                     model.end_epoch();
@@ -117,7 +126,7 @@ fn hammer_model_matches_btreemap_reference() {
                 );
             }
         }
-        for n in [1, 2, 5] {
+        for n in [0, 1, 2, 5] {
             assert_eq!(
                 model.rows_with_activations_at_least(n),
                 reference.activations.values().filter(|&&c| c >= n).count()
