@@ -1,14 +1,15 @@
 //! Telemetry-spine overhead benchmarks.
 //!
 //! The spine's contract is that a *disabled* spine (the default every
-//! un-instrumented caller gets) costs nothing measurable: `run` delegates
-//! to `run_probed` with a null spine, so `sim/null_spine` here must stay
-//! within 1% of the pre-spine serial numbers, and the primitive benches
+//! un-instrumented caller gets) costs nothing measurable: `run_workload` is
+//! `prepare(..).run(&spine)` on a null spine, so `sim/null_spine` here must
+//! stay within 1% of the pre-spine serial numbers, and the primitive benches
 //! bound what each probe site pays when tracing is off.
 
 use std::hint::black_box;
 
 use bench::harness::Harness;
+use rrs::campaign::CellAction;
 use rrs::experiments::{ExperimentConfig, MitigationKind};
 use rrs::telemetry::{Event, Telemetry, DEFAULT_TRACE_CAPACITY};
 use rrs::workloads::catalog::{spec_by_name, Workload};
@@ -69,7 +70,8 @@ fn bench_sim_overhead(h: &mut Harness) {
     h.bench("sim/traced_spine", |b| {
         b.iter(|| {
             let t = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
-            black_box(cfg.run_workload_probed(&w, MitigationKind::Rrs, &t))
+            let cell = cfg.prepare(CellAction::Workload(w), MitigationKind::Rrs);
+            black_box(cell.run(&t))
         })
     });
 }

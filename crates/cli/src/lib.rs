@@ -8,7 +8,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use rrs::campaign::{Campaign, RunOptions};
+use rrs::campaign::{Campaign, CellAction, RunOptions};
 use rrs::experiments::{ExperimentConfig, MitigationKind};
 use rrs::forensics::{ExportOptions, ExposureConfig, ExposureReport, TraceHeader};
 use rrs::sim::{SimResult, TraceSource};
@@ -526,6 +526,21 @@ fn cmd_figure(args: &[String]) -> Result<(), CliError> {
     report_write_errors(&write_errors)
 }
 
+/// The scenario `rrs trace` and `rrs forensics` simulate: `--pattern`
+/// selects an attack campaign over `--epochs` windows (default 1),
+/// otherwise the benign `--workload` (default gcc).
+fn cell_action(flags: &Flags, cfg: &ExperimentConfig) -> Result<CellAction, CliError> {
+    let Some(pattern) = flags.get("pattern") else {
+        let name = flags.get("workload").unwrap_or("gcc");
+        let spec =
+            spec_by_name(name).ok_or_else(|| CliError(format!("unknown workload {name:?}")))?;
+        return Ok(CellAction::Workload(Workload::Single(spec)));
+    };
+    let kind = parse_attack(pattern, cfg)?;
+    let epochs = flags.get_num::<u64>("epochs")?.unwrap_or(1);
+    Ok(CellAction::Attack { kind, epochs })
+}
+
 fn cmd_trace(flags: &Flags) -> Result<(), CliError> {
     let cfg = flags.experiment()?;
     let kind = flags.defense()?;
@@ -533,17 +548,7 @@ fn cmd_trace(flags: &Flags) -> Result<(), CliError> {
         .get_num::<usize>("capacity")?
         .unwrap_or(rrs::telemetry::DEFAULT_TRACE_CAPACITY);
     let spine = rrs::telemetry::Telemetry::with_trace(capacity);
-    // `--pattern` traces an attack campaign; otherwise a benign workload.
-    let result = if let Some(pattern) = flags.get("pattern") {
-        let attack = parse_attack(pattern, &cfg)?;
-        let epochs = flags.get_num::<u64>("epochs")?.unwrap_or(1);
-        cfg.run_attack_probed(attack, kind, epochs, &spine).result
-    } else {
-        let name = flags.get("workload").unwrap_or("gcc");
-        let spec =
-            spec_by_name(name).ok_or_else(|| CliError(format!("unknown workload {name:?}")))?;
-        cfg.run_workload_probed(&Workload::Single(spec), kind, &spine)
-    };
+    let result = cfg.prepare(cell_action(flags, &cfg)?, kind).run(&spine);
     println!("workload     : {}", result.workload);
     println!("defense      : {}", result.mitigation);
     println!("cycles       : {}", result.cycles);
@@ -623,22 +628,8 @@ fn cmd_forensics(flags: &Flags) -> Result<(), CliError> {
             .unwrap_or(FORENSICS_TRACE_CAPACITY);
         let kind = flags.defense()?;
         let spine = rrs::telemetry::Telemetry::with_trace(capacity);
-        let (scenario, defense) = if let Some(pattern) = flags.get("pattern") {
-            let attack = parse_attack(pattern, &cfg)?;
-            let epochs = flags.get_num::<u64>("epochs")?.unwrap_or(1);
-            let outcome = cfg.run_attack_probed(attack, kind, epochs, &spine);
-            (
-                outcome.result.workload.clone(),
-                outcome.result.mitigation.clone(),
-            )
-        } else {
-            let name = flags.get("workload").unwrap_or("gcc");
-            let spec =
-                spec_by_name(name).ok_or_else(|| CliError(format!("unknown workload {name:?}")))?;
-            let result = cfg.run_workload_probed(&Workload::Single(spec), kind, &spine);
-            (result.workload.clone(), result.mitigation.clone())
-        };
-        println!("scenario     : {scenario} under {defense}");
+        let r = cfg.prepare(cell_action(flags, &cfg)?, kind).run(&spine);
+        println!("scenario     : {} under {}", r.workload, r.mitigation);
         (spine.events(), spine.events_dropped())
     };
     if dropped > 0 {

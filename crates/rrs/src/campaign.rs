@@ -50,7 +50,7 @@ use rrs_telemetry::Telemetry;
 use rrs_workloads::attacks::AttackKind;
 use rrs_workloads::catalog::Workload;
 
-use crate::experiments::{ExperimentConfig, MitigationKind};
+use crate::experiments::{ExperimentConfig, MitigationKind, PreparedCell};
 
 /// What a cell simulates: a benign workload or an attack campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -126,28 +126,12 @@ impl Cell {
         mix_seed(self.config.seed, h)
     }
 
-    /// Runs the cell's simulation (synchronously, on the calling thread).
-    pub fn execute(&self) -> SimResult {
-        self.execute_probed(&Telemetry::new())
-    }
-
-    /// Runs the cell's simulation with every layer publishing on a
-    /// caller-held telemetry spine. The [`SimResult`] is byte-identical to
-    /// [`Cell::execute`]'s — observation must not perturb the experiment.
-    pub fn execute_probed(&self, telemetry: &Telemetry) -> SimResult {
+    /// Assembles the cell: its configuration with the base seed replaced
+    /// by [`Cell::trace_seed`], prepared for its action and defense.
+    pub fn prepare(&self) -> PreparedCell {
         let mut cfg = self.config;
         cfg.seed = self.trace_seed();
-        match self.action {
-            CellAction::Workload(w) => cfg.run_workload_probed(&w, self.mitigation, telemetry),
-            CellAction::Attack { kind, epochs } => {
-                let outcome = cfg.run_attack_probed(kind, self.mitigation, epochs, telemetry);
-                let mut result = outcome.result;
-                // `run_attack` drains the flips into the outcome; restore
-                // them so the serialized cell is self-contained.
-                result.bit_flips = outcome.bit_flips;
-                result
-            }
-        }
+        cfg.prepare(self.action, self.mitigation)
     }
 }
 
@@ -382,19 +366,6 @@ pub struct CellTelemetry {
     pub trace_jsonl: String,
 }
 
-impl CellTelemetry {
-    /// Captures the spine's state after a cell finished.
-    fn capture(telemetry: &Telemetry) -> Self {
-        CellTelemetry {
-            counters: telemetry.counters(),
-            events_recorded: telemetry.events_recorded(),
-            events_dropped: telemetry.events_dropped(),
-            kind_counts: telemetry.event_kind_counts(),
-            trace_jsonl: telemetry.trace_jsonl().unwrap_or_default(),
-        }
-    }
-}
-
 /// Results of [`Campaign::run`], indexed like the campaign's cells.
 #[derive(Debug)]
 pub struct CampaignRun {
@@ -486,54 +457,56 @@ fn run_cell(cell: &Cell, opts: &RunOptions) -> CellOutcome {
     let path = opts.out_dir.as_ref().map(|d| d.join(format!("{id}.json")));
 
     // Cached results carry no telemetry, so a tracing run always simulates.
-    if !opts.force && !opts.trace {
-        if let Some(path) = &path {
-            if let Ok(text) = std::fs::read_to_string(path) {
-                // A corrupt or stale-schema file falls through to a fresh
-                // simulation (which then overwrites it).
-                if let Ok(json) = Json::parse(&text) {
-                    if let Ok(result) = SimResult::from_json(&json) {
-                        return CellOutcome {
-                            id,
-                            result,
-                            from_cache: true,
-                            seconds: start.elapsed().as_secs_f64(),
-                            telemetry: None,
-                            write_error: None,
-                        };
-                    }
-                }
-            }
-        }
+    // A corrupt or stale-schema file falls through to a fresh simulation
+    // (which then overwrites it).
+    let cached = path
+        .as_ref()
+        .filter(|_| !opts.force && !opts.trace)
+        .and_then(|path| std::fs::read_to_string(path).ok())
+        .and_then(|text| SimResult::from_json(&Json::parse(&text).ok()?).ok());
+    if let Some(result) = cached {
+        return CellOutcome {
+            id,
+            result,
+            from_cache: true,
+            seconds: start.elapsed().as_secs_f64(),
+            telemetry: None,
+            write_error: None,
+        };
     }
 
-    let mut written = Ok(());
-    let (result, telemetry) = if opts.trace {
-        let spine = Telemetry::with_trace(rrs_telemetry::DEFAULT_TRACE_CAPACITY);
-        let result = cell.execute_probed(&spine);
-        let captured = CellTelemetry::capture(&spine);
-        if let Some(dir) = &opts.out_dir {
-            // Exposure forensics ride along with every traced cell: judge
-            // the trace against the cell's own T_RRS (whatever defense ran,
-            // so an undefended cell shows a failing verdict).
-            let t_rrs = (cell.config.t_rh() / rrs_core::DEFAULT_K).max(1);
-            let report = rrs_forensics::ExposureReport::reconstruct(
-                &spine.events(),
-                rrs_forensics::ExposureConfig {
-                    swap_threshold: t_rrs,
-                    slack: t_rrs,
-                },
-                spine.events_dropped(),
-            );
-            let trace_path = dir.join(format!("{id}.trace.jsonl"));
-            let forensics_path = dir.join(format!("{id}.forensics.json"));
-            written = write_file(&trace_path, &captured.trace_jsonl)
-                .and_then(|()| write_file(&forensics_path, &report.to_json().to_string_pretty()));
-        }
-        (result, Some(captured))
+    let spine = if opts.trace {
+        Telemetry::with_trace(rrs_telemetry::DEFAULT_TRACE_CAPACITY)
     } else {
-        (cell.execute(), None)
+        Telemetry::new()
     };
+    let result = cell.prepare().run(&spine);
+    let telemetry = opts.trace.then(|| CellTelemetry {
+        counters: spine.counters(),
+        events_recorded: spine.events_recorded(),
+        events_dropped: spine.events_dropped(),
+        kind_counts: spine.event_kind_counts(),
+        trace_jsonl: spine.trace_jsonl().unwrap_or_default(),
+    });
+    let mut written = Ok(());
+    if let (Some(captured), Some(dir)) = (&telemetry, &opts.out_dir) {
+        // Exposure forensics ride along with every traced cell: judge the
+        // trace against the cell's own T_RRS (whatever defense ran, so an
+        // undefended cell shows a failing verdict).
+        let t_rrs = (cell.config.t_rh() / rrs_core::DEFAULT_K).max(1);
+        let report = rrs_forensics::ExposureReport::reconstruct(
+            &spine.events(),
+            rrs_forensics::ExposureConfig {
+                swap_threshold: t_rrs,
+                slack: t_rrs,
+            },
+            spine.events_dropped(),
+        );
+        let trace_path = dir.join(format!("{id}.trace.jsonl"));
+        let forensics_path = dir.join(format!("{id}.forensics.json"));
+        written = write_file(&trace_path, &captured.trace_jsonl)
+            .and_then(|()| write_file(&forensics_path, &report.to_json().to_string_pretty()));
+    }
     // The first failed write stops the cell's remaining writes (they all
     // target the same directory) but never its result.
     let write_error = written

@@ -25,6 +25,8 @@ use rrs_workloads::attacks::{Attack, AttackKind, IdleFiller};
 use rrs_workloads::catalog::Workload;
 use rrs_workloads::generator::sources_for_workload;
 
+use crate::campaign::CellAction;
+
 pub use rrs_mitigations::factory::MitigationKind;
 
 /// Full-scale Row Hammer threshold defended by the paper.
@@ -169,69 +171,54 @@ impl ExperimentConfig {
         )
     }
 
-    /// Runs a benign workload under a mitigation.
-    pub fn run_workload(&self, workload: &Workload, kind: MitigationKind) -> SimResult {
-        self.run_workload_probed(workload, kind, &Telemetry::new())
+    /// Assembles one cell, the setup side of every run: the scaled system,
+    /// the defense and one trace source per core (for an attack, the
+    /// attacker on core 0 beside filler). [`PreparedCell::run`] runs it.
+    pub fn prepare(&self, action: CellAction, defense: MitigationKind) -> PreparedCell {
+        let mut sys = self.system_config();
+        let mitigation = self.build_mitigation(defense);
+        let (sources, name) = match action {
+            CellAction::Workload(w) => (sources_for_workload(&w, &sys, self.seed), w.name().into()),
+            CellAction::Attack { kind, epochs } => {
+                let timing = sys.controller.timing;
+                // The attacker is bank-bound: ~1 activation per tRC. Budget
+                // enough accesses to span the requested epochs.
+                sys.instructions_per_core = epochs * timing.epoch / timing.t_rc + 1_000;
+                let mapper = rrs_mem_ctrl::mapping::AddressMapper::new(sys.controller.geometry);
+                // Classic patterns run as a realistic campaign: ~4×T_RH
+                // activations per aggressor, then move to the next victim
+                // group. Half-Double and the randomized patterns keep their
+                // defining concentration.
+                let attacker = Attack::new(kind, mapper, self.seed).with_rotation(8 * self.t_rh());
+                let mut sources: Vec<Box<dyn TraceSource>> = vec![Box::new(attacker)];
+                sources.extend((1..sys.cores).map(|c| Box::new(IdleFiller::new(c)) as _));
+                (sources, kind.name())
+            }
+        };
+        PreparedCell {
+            sys,
+            mitigation,
+            sources,
+            name,
+        }
     }
 
-    /// [`ExperimentConfig::run_workload`] with every layer publishing on
-    /// a caller-held telemetry spine; the result is byte-identical.
-    pub fn run_workload_probed(
-        &self,
-        workload: &Workload,
-        kind: MitigationKind,
-        telemetry: &Telemetry,
-    ) -> SimResult {
-        let sys = self.system_config();
-        run_probed(
-            &sys,
-            self.build_mitigation(kind),
-            sources_for_workload(workload, &sys, self.seed),
-            workload.name(),
-            telemetry,
-        )
+    /// Runs a benign workload under a mitigation.
+    pub fn run_workload(&self, workload: &Workload, kind: MitigationKind) -> SimResult {
+        self.prepare(CellAction::Workload(*workload), kind)
+            .run(&Telemetry::new())
     }
 
     /// Runs an attack campaign of roughly `epochs` scaled refresh windows:
     /// core 0 is the attacker, remaining cores run compute-bound filler.
     pub fn run_attack(
         &self,
-        attack: AttackKind,
-        kind: MitigationKind,
+        kind: AttackKind,
+        defense: MitigationKind,
         epochs: u64,
     ) -> AttackOutcome {
-        self.run_attack_probed(attack, kind, epochs, &Telemetry::new())
-    }
-
-    /// [`ExperimentConfig::run_attack`] with every layer publishing on a
-    /// caller-held telemetry spine; the outcome is byte-identical.
-    pub fn run_attack_probed(
-        &self,
-        attack: AttackKind,
-        kind: MitigationKind,
-        epochs: u64,
-        telemetry: &Telemetry,
-    ) -> AttackOutcome {
-        let mut sys = self.system_config();
-        let timing = sys.controller.timing;
-        // The attacker is bank-bound: ~1 activation per tRC. Budget enough
-        // accesses to span the requested epochs.
-        let accesses = epochs * timing.epoch / timing.t_rc + 1_000;
-        sys.instructions_per_core = accesses;
-        let mapper = rrs_mem_ctrl::mapping::AddressMapper::new(sys.controller.geometry);
-        let name = attack.name();
-        // Classic patterns run as a realistic campaign: ~4×T_RH activations
-        // per aggressor, then move to the next victim group. Half-Double
-        // and the randomized patterns keep their defining concentration.
-        let rotation = 8 * self.t_rh();
-        let attacker = Attack::new(attack, mapper, self.seed).with_rotation(rotation);
-        let mut sources: Vec<Box<dyn TraceSource>> = vec![Box::new(attacker)];
-        for c in 1..sys.cores {
-            sources.push(Box::new(IdleFiller::new(c)));
-        }
-        let mut result = run_probed(&sys, self.build_mitigation(kind), sources, &name, telemetry);
-        // The flips are *moved* into the outcome (not cloned): read them
-        // from `outcome.bit_flips`, not `outcome.result.bit_flips`.
+        let cell = self.prepare(CellAction::Attack { kind, epochs }, defense);
+        let mut result = cell.run(&Telemetry::new());
         AttackOutcome {
             bit_flips: std::mem::take(&mut result.bit_flips),
             result,
@@ -244,6 +231,32 @@ impl ExperimentConfig {
         AttackKind::SwapChasing {
             t: (self.t_rh() / rrs_core::DEFAULT_K).max(1),
         }
+    }
+}
+
+/// One assembled cell (see [`ExperimentConfig::prepare`]), ready to run.
+pub struct PreparedCell {
+    /// The scaled system the cell simulates.
+    pub sys: SystemConfig,
+    /// The defense under test.
+    pub mitigation: Box<dyn Mitigation>,
+    /// One trace source per core.
+    pub sources: Vec<Box<dyn TraceSource>>,
+    /// The workload or attack name the result carries.
+    pub name: String,
+}
+
+impl PreparedCell {
+    /// The steady-state side: simulates the cell with every layer publishing
+    /// on `telemetry`. Tracing never changes the result, `bit_flips` included.
+    pub fn run(self, telemetry: &Telemetry) -> SimResult {
+        run_probed(
+            &self.sys,
+            self.mitigation,
+            self.sources,
+            &self.name,
+            telemetry,
+        )
     }
 }
 

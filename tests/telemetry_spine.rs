@@ -4,18 +4,19 @@
 //! The spine's two contracts, end to end:
 //!
 //! 1. **Non-perturbation** — a run on a tracing spine produces a
-//!    [`SimResult`] byte-identical (via its canonical JSON) to the same
-//!    run on the default null spine.
+//!    [`SimResult`] byte-identical (via its canonical JSON), bit flips
+//!    included, to the same run on the default null spine.
 //! 2. **Determinism** — two tracing runs of the same cell produce the
 //!    same JSON-lines trace, byte for byte.
 
 use std::collections::BTreeMap;
 
-use rrs::campaign::{Campaign, RunOptions};
+use rrs::campaign::{Campaign, CellAction, RunOptions};
 use rrs::experiments::{ExperimentConfig, MitigationKind};
 use rrs::sim::SimResult;
 use rrs::telemetry::{Telemetry, DEFAULT_TRACE_CAPACITY};
 use rrs::workloads::catalog::{spec_by_name, Workload};
+use rrs::workloads::AttackKind;
 use rrs_json::ToJson;
 
 fn canonical(result: &SimResult) -> String {
@@ -26,29 +27,48 @@ fn smoke_workload() -> Workload {
     Workload::Single(spec_by_name("hmmer").expect("hmmer is in the catalog"))
 }
 
+/// The smoke workload under RRS, run on a fresh tracing spine.
+fn traced_smoke_run() -> (SimResult, Telemetry) {
+    let spine = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
+    let result = ExperimentConfig::smoke_test()
+        .prepare(CellAction::Workload(smoke_workload()), MitigationKind::Rrs)
+        .run(&spine);
+    (result, spine)
+}
+
 #[test]
 fn tracing_does_not_perturb_the_result() {
     let cfg = ExperimentConfig::smoke_test();
-    let w = smoke_workload();
-    let plain = cfg.run_workload(&w, MitigationKind::Rrs);
-    let spine = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
-    let probed = cfg.run_workload_probed(&w, MitigationKind::Rrs, &spine);
+    let plain = cfg.run_workload(&smoke_workload(), MitigationKind::Rrs);
+    let (probed, spine) = traced_smoke_run();
     assert_eq!(
         canonical(&plain),
         canonical(&probed),
         "a tracing spine must not change the simulation outcome"
     );
     assert!(spine.events_recorded() > 0, "the run must emit events");
+
+    // An undefended attack flips bits: its flips, too, must come out of a
+    // tracing run unchanged.
+    let kind = AttackKind::DoubleSided;
+    let mut plain = cfg.run_attack(kind, MitigationKind::None, 1);
+    assert!(plain.attack_succeeded(), "undefended memory must flip");
+    plain.result.bit_flips = plain.bit_flips;
+    let spine = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
+    let probed = cfg
+        .prepare(CellAction::Attack { kind, epochs: 1 }, MitigationKind::None)
+        .run(&spine);
+    assert_eq!(
+        canonical(&plain.result),
+        canonical(&probed),
+        "a tracing spine must not change the attack outcome or its flips"
+    );
 }
 
 #[test]
 fn trace_is_deterministic_across_runs() {
-    let cfg = ExperimentConfig::smoke_test();
-    let w = smoke_workload();
-    let a = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
-    let b = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
-    let ra = cfg.run_workload_probed(&w, MitigationKind::Rrs, &a);
-    let rb = cfg.run_workload_probed(&w, MitigationKind::Rrs, &b);
+    let (ra, a) = traced_smoke_run();
+    let (rb, b) = traced_smoke_run();
     assert_eq!(canonical(&ra), canonical(&rb));
     let trace = a.trace_jsonl().expect("tracing spine records a trace");
     assert!(!trace.is_empty());
@@ -63,9 +83,7 @@ fn trace_is_deterministic_across_runs() {
 
 #[test]
 fn spine_counters_mirror_controller_stats() {
-    let cfg = ExperimentConfig::smoke_test();
-    let spine = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
-    let result = cfg.run_workload_probed(&smoke_workload(), MitigationKind::Rrs, &spine);
+    let (result, spine) = traced_smoke_run();
     let counters: BTreeMap<String, u64> = spine.counters().into_iter().collect();
     let get = |name: &str| {
         *counters
@@ -89,13 +107,11 @@ fn spine_counters_mirror_controller_stats() {
 fn attack_trace_records_swap_events() {
     let cfg = ExperimentConfig::smoke_test();
     let spine = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
-    let outcome = cfg.run_attack_probed(
-        rrs::workloads::AttackKind::DoubleSided,
-        MitigationKind::Rrs,
-        1,
-        &spine,
-    );
-    assert!(!outcome.attack_succeeded(), "RRS must defend");
+    let kind = AttackKind::DoubleSided;
+    let result = cfg
+        .prepare(CellAction::Attack { kind, epochs: 1 }, MitigationKind::Rrs)
+        .run(&spine);
+    assert!(result.bit_flips.is_empty(), "RRS must defend");
     let kinds: BTreeMap<&'static str, u64> = spine.event_kind_counts().into_iter().collect();
     assert!(kinds.get("activation").copied().unwrap_or(0) > 0);
     assert!(
@@ -173,9 +189,7 @@ fn campaign_trace_mode_captures_and_merges() {
 
 #[test]
 fn trace_lines_are_well_formed_json_objects() {
-    let cfg = ExperimentConfig::smoke_test();
-    let spine = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
-    let _ = cfg.run_workload_probed(&smoke_workload(), MitigationKind::Rrs, &spine);
+    let (_, spine) = traced_smoke_run();
     let trace = spine.trace_jsonl().unwrap();
     for line in trace.lines() {
         let parsed = rrs_json::Json::parse(line)
