@@ -16,11 +16,17 @@
 //! (the Misra-Gries tracker replaces its minimum-count entry; the RIT evicts
 //! a random unlocked tuple).
 
+use std::cell::{RefCell, RefMut};
 use std::fmt;
+use std::rc::Rc;
 
 use rrs_flat::FlatMap;
 
 use crate::prince::Prince;
+
+/// Hash seed of the paper's tracker CAT ("TRACKER" tagged). Every bank's
+/// tracker uses it, which is what lets them share one [`SetIndexMemo`].
+pub const TRACKER_HASH_SEED: u128 = 0x5452_4143_4b45_5200;
 
 /// Shape of a CAT.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +60,7 @@ impl CatConfig {
             sets: 64,
             demand_ways: 14,
             extra_ways: 6,
-            hash_seed: 0x5452_4143_4b45_5200, // "TRACKER" tagged seed
+            hash_seed: TRACKER_HASH_SEED,
         }
     }
 
@@ -123,6 +129,73 @@ impl fmt::Display for CatConflict {
 
 impl std::error::Error for CatConflict {}
 
+/// Largest `sets` a [`SetIndexMemo`] can hold: each table's `set + 1`
+/// takes half of a `u32` word.
+const MEMO_MAX_SETS: usize = 1 << 15;
+
+/// Rows per [`SetIndexMemo`] page.
+const MEMO_PAGE_ROWS: usize = 128;
+
+/// Lazily filled memo of both tables' set indices for the tags `0..rows`.
+///
+/// A CAT's set index is a pure function of its `(hash_seed, sets)` and the
+/// tag, so CATs with the same key can share one memo: every bank's tracker
+/// hashes the same rows under the same keys. Each row's word holds both
+/// tables' `set + 1` and starts at `0`, "not hashed yet"; the first
+/// [`Cat::set_of`] of a row runs the two PRINCE encryptions and fills it,
+/// and later installs read both candidate sets with one load. Words live
+/// in 128-row pages allocated on first fill, so rows that are never
+/// hashed cost no memory and building a memo costs one small allocation.
+pub struct SetIndexMemo {
+    hash_seed: u128,
+    sets: usize,
+    rows: usize,
+    /// `pages[row / 128][row % 128]`: `(set₀ + 1) | (set₁ + 1) << 16`, or
+    /// `0` if unhashed.
+    pages: RefCell<Vec<Option<Box<[u32; MEMO_PAGE_ROWS]>>>>,
+}
+
+impl SetIndexMemo {
+    /// An empty memo for the CATs shaped like `config`, covering the tags
+    /// `0..rows`; `None` if `config.sets` is too large for a memo word.
+    pub fn new(config: &CatConfig, rows: usize) -> Option<Self> {
+        (config.sets <= MEMO_MAX_SETS).then(|| SetIndexMemo {
+            hash_seed: config.hash_seed,
+            sets: config.sets,
+            rows,
+            pages: RefCell::new(vec![None; rows.div_ceil(MEMO_PAGE_ROWS)]),
+        })
+    }
+
+    /// Number of tags the memo covers; larger tags are always hashed.
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// The word of `tag`, allocating its page on first use; `None` if the
+    /// memo does not cover `tag`.
+    fn word(&self, tag: u64) -> Option<RefMut<'_, u32>> {
+        let row = usize::try_from(tag).ok().filter(|&row| row < self.rows)?;
+        RefMut::filter_map(self.pages.borrow_mut(), |pages| {
+            pages
+                .get_mut(row / MEMO_PAGE_ROWS)?
+                .get_or_insert_with(|| Box::new([0; MEMO_PAGE_ROWS]))
+                .get_mut(row % MEMO_PAGE_ROWS)
+        })
+        .ok()
+    }
+}
+
+impl fmt::Debug for SetIndexMemo {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SetIndexMemo")
+            .field("hash_seed", &self.hash_seed)
+            .field("sets", &self.sets)
+            .field("rows", &self.rows())
+            .finish()
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Slot<V> {
     tag: u64,
@@ -166,6 +239,8 @@ pub struct Cat<V> {
     len: usize,
     /// Lifetime count of installs that needed Cuckoo relocation.
     relocations: u64,
+    /// Shared set-index memo (see [`Cat::attach_set_memo`]).
+    memo: Option<Rc<SetIndexMemo>>,
 }
 
 /// Packs a [`SlotIndex`] into one word for the lookup index (`set` and
@@ -212,7 +287,29 @@ impl<V> Cat<V> {
             occupied: [vec![0; config.sets], vec![0; config.sets]],
             len: 0,
             relocations: 0,
+            memo: None,
         }
+    }
+
+    /// Serves [`Cat::set_of`] for the tags `0..memo.rows()` from `memo`,
+    /// which may be shared with other CATs of the same key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the memo was built for a different `(hash_seed, sets)`:
+    /// its set indices would not be this CAT's.
+    pub fn attach_set_memo(&mut self, memo: Rc<SetIndexMemo>) {
+        assert_eq!(
+            (memo.hash_seed, memo.sets),
+            (self.config.hash_seed, self.config.sets),
+            "set-index memo keyed for a different CAT"
+        );
+        self.memo = Some(memo);
+    }
+
+    /// The attached set-index memo, if any.
+    pub fn set_memo(&self) -> Option<&Rc<SetIndexMemo>> {
+        self.memo.as_ref()
     }
 
     /// The configuration this CAT was built with.
@@ -242,17 +339,36 @@ impl<V> Cat<V> {
 
     /// Set index of `tag` in table `t`.
     pub fn set_of(&self, table: usize, tag: u64) -> usize {
-        (self.hasher(table).encrypt(tag) as usize) & (self.config.sets - 1)
+        let (s0, s1) = self.sets_of(tag);
+        if table == 0 {
+            s0
+        } else {
+            s1
+        }
     }
 
-    /// The hasher of table `t` (any `t > 1` aliases table 1; callers only
-    /// ever pass 0 or 1).
-    fn hasher(&self, table: usize) -> &Prince {
-        if table == 0 {
-            &self.hashers[0]
-        } else {
-            &self.hashers[1]
+    /// Both candidate sets of `tag`: from the memo when it covers `tag`
+    /// (hashing and filling it on the row's first use), else by PRINCE.
+    fn sets_of(&self, tag: u64) -> (usize, usize) {
+        let Some(mut word) = self.memo.as_ref().and_then(|memo| memo.word(tag)) else {
+            return self.hash_sets(tag);
+        };
+        if *word != 0 {
+            return ((*word & 0xFFFF) as usize - 1, (*word >> 16) as usize - 1);
         }
+        let (s0, s1) = self.hash_sets(tag);
+        // Both halves fit: `SetIndexMemo::new` caps `sets` at `MEMO_MAX_SETS`.
+        *word = u32::try_from((s0 + 1) | (s1 + 1) << 16).unwrap_or(0);
+        (s0, s1)
+    }
+
+    /// Both candidate sets of `tag`, computed by the two keyed PRINCE hashes.
+    fn hash_sets(&self, tag: u64) -> (usize, usize) {
+        let mask = self.config.sets - 1;
+        (
+            (self.hashers[0].encrypt(tag) as usize) & mask,
+            (self.hashers[1].encrypt(tag) as usize) & mask,
+        )
     }
 
     /// The slot storage of table `t`.
@@ -308,8 +424,8 @@ impl<V> Cat<V> {
     /// it).
     #[doc(hidden)]
     pub fn find_by_scan(&self, tag: u64) -> Option<SlotIndex> {
-        for t in 0..2 {
-            let set = self.set_of(t, tag);
+        let (s0, s1) = self.sets_of(tag);
+        for (t, set) in [(0, s0), (1, s1)] {
             for (way, slot) in self.set_slots(t, set).iter().enumerate() {
                 if slot.as_ref().is_some_and(|s| s.tag == tag) {
                     return Some((t, set, way));
@@ -339,11 +455,16 @@ impl<V> Cat<V> {
 
     /// Exclusive reference to the value stored for `tag`.
     pub fn get_mut(&mut self, tag: u64) -> Option<&mut V> {
-        let (t, set, way) = self.find(tag)?;
-        self.set_slots_mut(t, set)
-            .get_mut(way)?
-            .as_mut()
-            .map(|s| &mut s.value)
+        self.locate_mut(tag).map(|(_, value)| value)
+    }
+
+    /// Location of `tag` together with its value, exclusively borrowed:
+    /// one index probe for clients that update the value and then repair
+    /// per-set metadata (the tracker's hit path).
+    pub fn locate_mut(&mut self, tag: u64) -> Option<(SlotIndex, &mut V)> {
+        let (t, set, way) = unpack_loc(*self.index.get(tag)?);
+        let slot = self.set_slots_mut(t, set).get_mut(way)?.as_mut()?;
+        (slot.tag == tag).then_some(((t, set, way), &mut slot.value))
     }
 
     fn invalid_ways_in(&self, table: usize, set: usize) -> usize {
@@ -388,8 +509,7 @@ impl<V> Cat<V> {
     /// [`Cat::get_mut`] to update existing entries).
     pub fn insert(&mut self, tag: u64, value: V) -> Result<SlotIndex, CatConflict> {
         debug_assert!(!self.contains(tag), "duplicate CAT install of {tag:#x}");
-        let s0 = self.set_of(0, tag);
-        let s1 = self.set_of(1, tag);
+        let (s0, s1) = self.sets_of(tag);
         let inv0 = self.invalid_ways_in(0, s0);
         let inv1 = self.invalid_ways_in(1, s1);
         let (table, set) = if inv0 >= inv1 { (0, s0) } else { (1, s1) };
@@ -466,18 +586,36 @@ impl<V> Cat<V> {
         Some(((t, set, way), slot.value))
     }
 
+    /// The slots and occupancy counter of every non-empty set, in slot
+    /// order; empty sets are skipped without reading their slots.
+    fn occupied_sets_mut(&mut self) -> impl Iterator<Item = (&mut [Option<Slot<V>>], &mut u8)> {
+        let ways = self.config.ways().max(1);
+        self.tables
+            .iter_mut()
+            .zip(&mut self.occupied)
+            .flat_map(move |(slots, occupied)| slots.chunks_mut(ways).zip(occupied))
+            .filter(|(_, occ)| **occ > 0)
+    }
+
     /// Removes every entry.
     pub fn clear(&mut self) {
-        for t in &mut self.tables {
-            for s in t.iter_mut() {
-                *s = None;
-            }
+        if self.len == 0 {
+            return;
         }
-        for occ in &mut self.occupied {
-            occ.iter_mut().for_each(|o| *o = 0);
+        for (set, occ) in self.occupied_sets_mut() {
+            set.iter_mut().for_each(|s| *s = None);
+            *occ = 0;
         }
         self.index.clear();
         self.len = 0;
+    }
+
+    /// Every value, exclusively borrowed, in slot order. Tags and placement
+    /// are untouched, so the index stays coherent.
+    pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
+        self.occupied_sets_mut()
+            .flat_map(|(set, _)| set.iter_mut())
+            .filter_map(|s| s.as_mut().map(|s| &mut s.value))
     }
 
     /// Iterates over `(tag, &value)` in an arbitrary but deterministic order.
@@ -533,7 +671,45 @@ impl<V> Cat<V> {
         if self.len == 0 {
             return None;
         }
-        self.iter().nth(n % self.len)
+        self.iter_from(n % self.len).next()
+    }
+
+    /// [`Cat::iter`] rotated to start at the `n`-th entry: the sequence of
+    /// `iter().skip(n).chain(iter().take(n))`. The start is found by
+    /// summing the per-set occupancy counters, so reaching it reads no slot
+    /// before it; the walk then wraps around the slot arrays.
+    pub fn iter_from(&self, n: usize) -> impl Iterator<Item = (u64, &V)> + '_ {
+        let (table, slot) = self.nth_slot(n).unwrap_or((0, 0));
+        let [t0, t1] = &self.tables;
+        let (first, second) = if table == 0 { (t0, t1) } else { (t1, t0) };
+        let (before, after) = first.split_at_checked(slot).unwrap_or((&[], first));
+        after
+            .iter()
+            .chain(second)
+            .chain(before)
+            .filter_map(|s| s.as_ref().map(|s| (s.tag, &s.value)))
+    }
+
+    /// `(table, slot)` of the `n`-th entry in slot order, or `None` if
+    /// `n >= len`.
+    fn nth_slot(&self, n: usize) -> Option<(usize, usize)> {
+        let mut left = n;
+        for (table, occupied) in self.occupied.iter().enumerate() {
+            for (set, &occ) in occupied.iter().enumerate() {
+                let occ = usize::from(occ);
+                if left < occ {
+                    let (way, _) = self
+                        .set_slots(table, set)
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, s)| s.is_some())
+                        .nth(left)?;
+                    return Some((table, self.slot_range(set).start + way));
+                }
+                left -= occ;
+            }
+        }
+        None
     }
 }
 
@@ -722,6 +898,48 @@ mod tests {
             }
         }
         assert!(cat.relocations() > 0, "churn never exercised relocation");
+    }
+
+    #[test]
+    fn memo_serves_rows_and_hashes_tags_beyond_them() {
+        let plain = small();
+        let mut memoized = small();
+        let memo = Rc::new(SetIndexMemo::new(memoized.config(), 16).expect("8 sets fit"));
+        memoized.attach_set_memo(Rc::clone(&memo));
+        assert_eq!(memo.rows(), 16);
+        let filled_words = || {
+            let pages = memo.pages.borrow();
+            let words = pages.iter().flatten().flat_map(|page| page.iter());
+            words.filter(|&&w| w != 0).count()
+        };
+        assert_eq!(filled_words(), 0);
+        for tag in [3u64, 3, 15, 16, 1 << 40] {
+            for table in 0..2 {
+                assert_eq!(memoized.set_of(table, tag), plain.set_of(table, tag));
+            }
+        }
+        // Rows 3 and 15 were filled; tags at or above `rows` never are.
+        assert_eq!(filled_words(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "different CAT")]
+    fn memo_with_another_key_panics() {
+        let mut cat = small();
+        let other = cat.config().with_seed(54321);
+        let memo = SetIndexMemo::new(&other, 16).expect("8 sets fit");
+        cat.attach_set_memo(Rc::new(memo));
+    }
+
+    #[test]
+    fn memo_declines_sets_beyond_a_half_word() {
+        let huge = CatConfig {
+            sets: 2 * MEMO_MAX_SETS,
+            demand_ways: 1,
+            extra_ways: 0,
+            hash_seed: 0,
+        };
+        assert!(SetIndexMemo::new(&huge, 4).is_none());
     }
 
     #[test]

@@ -422,9 +422,7 @@ impl RowIndirectionTable {
         let start = (pick as usize) % len;
         let victim = self
             .forward
-            .iter()
-            .skip(start)
-            .chain(self.forward.iter().take(start))
+            .iter_from(start)
             .find(|(logical, e)| {
                 if e.locked {
                     return false;
@@ -469,11 +467,8 @@ impl RowIndirectionTable {
     /// Ends the epoch: clears every lock bit so stale entries become
     /// evictable (§4.3). The mappings themselves are retained.
     pub fn end_epoch(&mut self) {
-        let tags: Vec<u64> = self.forward.iter().map(|(t, _)| t).collect();
-        for t in tags {
-            if let Some(e) = self.forward.get_mut(t) {
-                e.locked = false;
-            }
+        for e in self.forward.values_mut() {
+            e.locked = false;
         }
         // Epoch boundaries are rare: run the full ghost audit every time.
         #[cfg(debug_assertions)]

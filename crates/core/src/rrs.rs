@@ -10,8 +10,11 @@
 //! 2. every activation feeds the tracker ([`Rrs::on_activation`]), which may
 //!    return swap directives the controller must execute and charge.
 
+use std::rc::Rc;
+
 use rrs_dram::geometry::{DramGeometry, RowAddr};
 
+use crate::cat::SetIndexMemo;
 use crate::detector::{DetectorConfig, SwapDetector};
 use crate::prng::PrinceCtrRng;
 use crate::rit::{PhysicalSwap, RitError, RowIndirectionTable};
@@ -162,11 +165,29 @@ pub struct BankRrs<T: HotRowTracker = CatTracker> {
 }
 
 impl BankRrs<CatTracker> {
-    /// Creates a unit with the paper's Misra-Gries tracker. `bank_index`
-    /// diversifies seeds across banks.
+    /// Creates a unit with the paper's Misra-Gries tracker, whose CAT
+    /// memoizes its set indices privately. `bank_index` diversifies seeds
+    /// across banks.
     pub fn new(config: RrsConfig, bank_index: u64) -> Self {
-        Self::with_tracker(config, bank_index, CatTracker::new(config.tracker_config()))
+        Self::sharing_memo(config, bank_index, tracker_memo(&config))
     }
+
+    /// [`BankRrs::new`] with the tracker's set indices served by `memo`.
+    fn sharing_memo(config: RrsConfig, bank_index: u64, memo: Option<Rc<SetIndexMemo>>) -> Self {
+        let mut tracker = CatTracker::new(config.tracker_config());
+        if let Some(memo) = memo {
+            tracker.attach_set_memo(memo);
+        }
+        Self::with_tracker(config, bank_index, tracker)
+    }
+}
+
+/// An empty set-index memo for the tracker CAT of `config`, covering every
+/// row of a bank. Tracker keys do not depend on the bank, so one memo can
+/// serve all of them.
+fn tracker_memo(config: &RrsConfig) -> Option<Rc<SetIndexMemo>> {
+    let rows = usize::try_from(config.rows_per_bank).ok()?;
+    SetIndexMemo::new(&config.tracker_config().cat_config(), rows).map(Rc::new)
 }
 
 impl<T: HotRowTracker> BankRrs<T> {
@@ -311,10 +332,12 @@ pub struct Rrs {
 }
 
 impl Rrs {
-    /// Creates an engine covering every bank of `geometry`.
+    /// Creates an engine covering every bank of `geometry`. The banks'
+    /// trackers share one set-index memo.
     pub fn new(config: RrsConfig, geometry: DramGeometry) -> Self {
+        let memo = tracker_memo(&config);
         let banks = (0..geometry.total_banks())
-            .map(|i| BankRrs::new(config, i as u64))
+            .map(|i| BankRrs::sharing_memo(config, i as u64, memo.clone()))
             .collect();
         Rrs {
             config,
@@ -542,6 +565,23 @@ mod tests {
         assert_ne!(rrs.resolve(a), a);
         assert_eq!(rrs.resolve(b), b);
         assert_eq!(rrs.total_stats().swaps, 1);
+    }
+
+    #[test]
+    fn banks_share_one_tracker_memo() {
+        let rrs = Rrs::new(small_config(), DramGeometry::tiny_test());
+        let memos: Vec<_> = rrs
+            .banks()
+            .iter()
+            .map(|b| b.tracker().set_memo().expect("tracker memo attached"))
+            .collect();
+        assert!(memos.len() > 1);
+        assert!(memos.iter().all(|m| Rc::ptr_eq(m, memos[0])));
+        assert_eq!(memos[0].rows(), 1_024);
+        // A stand-alone unit builds its own.
+        let lone = BankRrs::new(small_config(), 0);
+        let own = lone.tracker().set_memo().expect("tracker memo attached");
+        assert!(!Rc::ptr_eq(own, memos[0]));
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Differential property tests (rrs-check) pinning the PR5 hot-path
-//! rewrites against retained reference implementations: the flat tables,
-//! the CAT flat index, and the resolve-TLB must be *observationally
-//! invisible* — same access sequence, same answers, same counter totals.
+//! Differential property tests (rrs-check) pinning the hot-path rewrites
+//! against retained reference implementations: the flat tables, the CAT
+//! flat index, the set-index memo, the rotated CAT walk and the
+//! resolve-TLB must be *observationally invisible* — same access
+//! sequence, same answers, same counter totals.
 
+use std::cell::Cell;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
-use rrs_check::check;
+use rrs_check::{check, Gen};
+use rrs_core::cat::{Cat, CatConfig, SetIndexMemo};
 use rrs_core::rit::RowIndirectionTable;
-use rrs_core::tracker::{CamTracker, HotRowTracker, TrackerConfig};
+use rrs_core::tracker::{CamTracker, CatTracker, HotRowTracker, TrackerConfig};
 use rrs_flat::FlatMap;
 use rrs_telemetry::Telemetry;
 
@@ -181,6 +185,151 @@ fn cam_tracker_matches_btreemap_reference() {
         for row in 0..12 {
             assert_eq!(cam.contains(row), reference.counts.contains_key(&row));
             assert_eq!(cam.count_of(row), reference.counts.get(&row).copied());
+        }
+    });
+}
+
+/// A CAT shape small enough that a tag domain of a few dozen over-fills
+/// it: zero or one extra way forces conflicts and Cuckoo relocations.
+fn tiny_cat_config(g: &mut Gen) -> CatConfig {
+    CatConfig {
+        sets: 1 << g.below(3),
+        demand_ways: g.usize_in(1..3),
+        extra_ways: g.usize_in(0..2),
+        hash_seed: g.u128(),
+    }
+}
+
+/// A memo covering only part of the tag domain, so the stream mixes
+/// memoized tags with tags at or above `rows` that go straight to PRINCE.
+fn partial_memo(g: &mut Gen, config: &CatConfig, domain: u64) -> Rc<SetIndexMemo> {
+    let rows = g.usize_in(0..domain as usize);
+    Rc::new(SetIndexMemo::new(config, rows).expect("tiny shapes fit a memo word"))
+}
+
+/// Two CATs sharing one set-index memo and a memo-less CAT, fed the same
+/// operation stream, agree on every slot, conflict, removal, set index
+/// and relocation count.
+#[test]
+fn memoized_cat_matches_unmemoized() {
+    let relocations = Cell::new(0u64);
+    check(|g| {
+        let config = tiny_cat_config(g);
+        let domain = 48u64;
+        let memo = partial_memo(g, &config, domain);
+        let mut plain: Cat<u64> = Cat::new(config);
+        let mut memoized = [Cat::new(config), Cat::new(config)];
+        for cat in &mut memoized {
+            cat.attach_set_memo(Rc::clone(&memo));
+        }
+        for _ in 0..g.usize_in(1..150) {
+            let tag = g.below(domain);
+            match g.below(8) {
+                0..=3 => {
+                    if !plain.contains(tag) {
+                        let expected = plain.insert(tag, tag);
+                        for cat in &mut memoized {
+                            assert_eq!(cat.insert(tag, tag), expected);
+                        }
+                    }
+                }
+                4 | 5 => {
+                    let expected = plain.remove_entry(tag);
+                    for cat in &mut memoized {
+                        assert_eq!(cat.remove_entry(tag), expected);
+                    }
+                }
+                6 => {
+                    for cat in &memoized {
+                        for table in 0..2 {
+                            assert_eq!(cat.set_of(table, tag), plain.set_of(table, tag));
+                        }
+                        assert_eq!(cat.find_by_scan(tag), plain.find_by_scan(tag));
+                    }
+                }
+                _ => {
+                    plain.clear();
+                    memoized.iter_mut().for_each(Cat::clear);
+                }
+            }
+            let expected: Vec<_> = plain.iter().collect();
+            for cat in &memoized {
+                assert_eq!(cat.relocations(), plain.relocations());
+                assert_eq!(cat.iter().collect::<Vec<_>>(), expected);
+            }
+        }
+        relocations.set(relocations.get() + plain.relocations());
+    });
+    assert!(relocations.get() > 0, "no case exercised relocation");
+}
+
+/// A memoized and a memo-less `CatTracker`, fed one access stream with
+/// occasional resets, agree on every verdict, install, eviction,
+/// relocation, conflict and tracked row.
+#[test]
+fn memoized_tracker_matches_unmemoized() {
+    let relocations = Cell::new(0u64);
+    check(|g| {
+        let cat_config = tiny_cat_config(g);
+        let config = TrackerConfig {
+            entries: g.usize_in(1..cat_config.slots() + 2),
+            threshold: g.u64_in(1..6),
+        };
+        let domain = 40u64;
+        let memo = partial_memo(g, &cat_config, domain);
+        let spines = [Telemetry::new(), Telemetry::new()];
+        let mut trackers = [
+            CatTracker::with_cat_config(config, cat_config),
+            CatTracker::with_cat_config(config, cat_config),
+        ];
+        trackers[1].attach_set_memo(memo);
+        for (tracker, spine) in trackers.iter_mut().zip(&spines) {
+            tracker.attach_telemetry(spine);
+        }
+        for _ in 0..g.usize_in(1..300) {
+            if g.below(64) == 0 {
+                trackers.iter_mut().for_each(HotRowTracker::reset);
+            }
+            let row = g.below(domain);
+            let [plain, memoized] = &mut trackers;
+            assert_eq!(memoized.record_access(row), plain.record_access(row));
+            assert_eq!(memoized.spill(), plain.spill());
+            assert_eq!(memoized.conflicts(), plain.conflicts());
+            for name in ["hrt.installs", "hrt.evicts", "cat.relocations"] {
+                assert_eq!(spines[1].counter(name).get(), spines[0].counter(name).get());
+            }
+            for probe in 0..domain {
+                assert_eq!(memoized.count_of(probe), plain.count_of(probe));
+            }
+        }
+        relocations.set(relocations.get() + spines[0].counter("cat.relocations").get());
+    });
+    assert!(relocations.get() > 0, "no case exercised relocation");
+}
+
+/// `Cat::iter_from(n)` walks exactly `iter().skip(n).chain(iter().take(n))`
+/// for every `n`, including `n >= len`, under insert/remove/clear churn.
+#[test]
+fn iter_from_matches_rotated_iter() {
+    check(|g| {
+        let mut cat: Cat<u64> = Cat::new(tiny_cat_config(g));
+        for _ in 0..g.usize_in(1..120) {
+            let tag = g.below(40);
+            match g.below(10) {
+                0..=5 => {
+                    if !cat.contains(tag) {
+                        let _ = cat.insert(tag, tag ^ 0xA5);
+                    }
+                }
+                6..=8 => {
+                    cat.remove(tag);
+                }
+                _ => cat.clear(),
+            }
+            for n in 0..cat.len() + 3 {
+                let rotated: Vec<_> = cat.iter().skip(n).chain(cat.iter().take(n)).collect();
+                assert_eq!(cat.iter_from(n).collect::<Vec<_>>(), rotated, "n = {n}");
+            }
         }
     });
 }
