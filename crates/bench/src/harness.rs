@@ -1,10 +1,10 @@
 //! Minimal wall-clock benchmark harness.
 //!
-//! The build environment has no access to crates.io, so the Criterion-style
-//! benches in `benches/` run on this hand-rolled harness instead. It keeps
-//! the parts that matter for our use: automatic iteration-count calibration,
-//! per-iteration setup (`iter_batched`), name filtering from the command
-//! line, and a stable one-line-per-benchmark report.
+//! The workspace has no external dependencies, so the registry in
+//! [`crate::suite`] runs on this hand-rolled harness instead of Criterion.
+//! It keeps the parts that matter for our use: automatic iteration-count
+//! calibration, per-iteration setup (`iter_batched`), name filtering from
+//! the command line, and a stable one-line-per-benchmark report.
 //!
 //! Usage from a `harness = false` bench target:
 //!
@@ -16,9 +16,6 @@
 
 use std::hint::black_box;
 use std::time::{Duration, Instant};
-
-/// Re-export so benches only need one import for the common idiom.
-pub use std::hint::black_box as bb;
 
 /// Target measurement time per benchmark (after calibration).
 const TARGET: Duration = Duration::from_millis(120);
@@ -82,8 +79,8 @@ pub struct Harness {
 
 impl Harness {
     /// Builds a harness from `cargo bench` command-line arguments: the
-    /// first non-flag argument is a substring filter; `--quick` (or the
-    /// `RRS_BENCH_QUICK` env var) shortens measurement for smoke runs.
+    /// first non-flag argument is a substring filter; `--quick` shortens
+    /// measurement for smoke runs.
     pub fn from_args() -> Self {
         let mut h = Harness::default();
         for arg in std::env::args().skip(1) {
@@ -93,9 +90,6 @@ impl Harness {
                 h.filter = Some(arg);
             }
             // Other cargo-injected flags (--bench, --exact, ...) are ignored.
-        }
-        if std::env::var_os("RRS_BENCH_QUICK").is_some() {
-            h.quick = true;
         }
         h
     }
@@ -162,7 +156,7 @@ impl Harness {
         });
     }
 
-    /// All results so far (for benches that post-process, e.g. speedups).
+    /// All results so far (what `rrs bench-report` snapshots).
     pub fn records(&self) -> &[Record] {
         &self.records
     }

@@ -1,5 +1,6 @@
 //! The paper's tables and figures ([`figures`]), the helpers they share,
-//! and the in-repo micro-benchmark harness ([`harness`], [`suite`]).
+//! and the micro-benchmark registry ([`suite`]) with its harness
+//! ([`harness`]).
 //!
 //! `rrs figure <name|all>` renders the registry; results print as aligned
 //! text tables with the paper's reference values alongside, ready to

@@ -728,18 +728,57 @@ fn find_prior_snapshot(dir: &Path, current: &Path) -> Option<PathBuf> {
 }
 
 fn cmd_bench_report(flags: &Flags) -> Result<(), CliError> {
+    flags.only("out gate baseline", "smoke")?;
     let smoke = flags.has("smoke");
-    let out_raw = flags.get("out").unwrap_or("BENCH_PR5.json");
+    let out_raw = flags
+        .get("out")
+        .ok_or_else(|| CliError::from("bench-report requires --out <file>"))?;
+    let out_path = output::resolve(out_raw, OutputKind::Json);
     // --gate PCT is the CI form: it sets the regression threshold AND makes
     // any crossing (or a missing/unreadable baseline) a non-zero exit.
     let gate = flags.get_num::<f64>("gate")?;
-    let regress_pct = gate.or(flags.get_num::<f64>("threshold")?).unwrap_or(10.0);
-    let strict = flags.has("strict") || gate.is_some();
+
+    // Read --baseline, or the most recent prior snapshot, before the suite
+    // runs. Absent or malformed priors are reported, never fatal — unless
+    // gating, where a gate with nothing to gate against fails at once.
+    let dir = out_path
+        .parent()
+        .filter(|p| !p.as_os_str().is_empty())
+        .map_or_else(|| PathBuf::from("."), Path::to_path_buf);
+    let prior_path = flags
+        .get("baseline")
+        .map(PathBuf::from)
+        .or_else(|| find_prior_snapshot(&dir, &out_path));
+    let prior = match prior_path {
+        None if gate.is_some() => {
+            return Err("bench gate: no baseline BENCH_*.json snapshot found".into())
+        }
+        None => {
+            println!("no prior BENCH_*.json snapshot to diff against");
+            None
+        }
+        Some(path) => match std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|t| Json::parse(&t).map_err(|e| e.to_string()))
+        {
+            Ok(json) => Some((path, json)),
+            Err(e) if gate.is_some() => {
+                return Err(
+                    format!("bench gate: cannot read baseline {}: {e}", path.display()).into(),
+                )
+            }
+            Err(e) => {
+                println!("cannot diff against {}: {e}", path.display());
+                None
+            }
+        },
+    };
+
     if smoke {
         println!("bench-report: smoke mode (tiny measurement budget; numbers are schema checks, not data)");
     }
     let mut h = bench::harness::Harness::programmatic(smoke);
-    bench::suite::standard_suite(&mut h);
+    bench::suite::smoke(&mut h);
     let rev = git_rev();
     let benches: Vec<(String, Json)> = h
         .records()
@@ -767,53 +806,40 @@ fn cmd_bench_report(flags: &Flags) -> Result<(), CliError> {
         ("git_rev".to_string(), Json::str(&rev)),
         ("benches".to_string(), Json::Obj(benches)),
     ]);
-    let out_path = output::write_as(out_raw, OutputKind::Json, &doc.to_string_pretty())?;
+    output::write(&out_path, &doc.to_string_pretty())?;
     println!(
         "wrote {} ({} benches, rev {rev})",
         out_path.display(),
         h.records().len()
     );
 
-    // Diff against --baseline, or the most recent prior snapshot. Absent
-    // or malformed priors are reported, never fatal — unless gating, where
-    // a gate with nothing to gate against must fail loudly.
-    let dir = out_path
-        .parent()
-        .filter(|p| !p.as_os_str().is_empty())
-        .map_or_else(|| PathBuf::from("."), Path::to_path_buf);
-    let prior_path = match flags.get("baseline") {
-        Some(p) => PathBuf::from(p),
-        None => match find_prior_snapshot(&dir, &out_path) {
-            Some(p) => p,
-            None => {
-                if gate.is_some() {
-                    return Err("bench gate: no baseline BENCH_*.json snapshot found".into());
-                }
-                println!("no prior BENCH_*.json snapshot to diff against");
-                return Ok(());
-            }
-        },
-    };
-    let prior = match std::fs::read_to_string(&prior_path)
-        .map_err(|e| e.to_string())
-        .and_then(|t| Json::parse(&t).map_err(|e| e.to_string()))
-    {
-        Ok(json) => json,
-        Err(e) => {
-            if gate.is_some() {
-                return Err(format!(
-                    "bench gate: cannot read baseline {}: {e}",
-                    prior_path.display()
-                )
-                .into());
-            }
-            println!("cannot diff against {}: {e}", prior_path.display());
-            return Ok(());
-        }
+    let Some((prior_path, prior)) = prior else {
+        return Ok(());
     };
     println!("diff vs {}:", prior_path.display());
+    let (report, regressions) = bench_diff(h.records(), &prior, gate);
+    println!("{report}");
+    if gate.is_some() && regressions > 0 {
+        return Err(format!("{regressions} benchmark regression(s) over threshold").into());
+    }
+    Ok(())
+}
+
+/// Diffs suite `records` against a `prior` snapshot: one line per bench
+/// (`new` when the prior lacks it), then every prior entry the suite no
+/// longer runs as `removed` — listed, never gated, since silently dropping
+/// it would hide a benchmark's removal. A median more than `gate` percent
+/// (10% without a gate) above its prior is a regression. Returns the
+/// report and the number of regressions.
+fn bench_diff(
+    records: &[bench::harness::Record],
+    prior: &Json,
+    gate: Option<f64>,
+) -> (String, usize) {
+    let regress_pct = gate.unwrap_or(10.0);
+    let mut lines = Vec::new();
     let mut regressions = 0usize;
-    for r in h.records() {
+    for r in records {
         let prior_ns = prior
             .get("benches")
             .and_then(|b| b.get(&r.name))
@@ -829,30 +855,25 @@ fn cmd_bench_report(flags: &Flags) -> Result<(), CliError> {
                 } else {
                     ""
                 };
-                println!("  {:<40} {:>+8.1}%{flag}", r.name, pct);
+                lines.push(format!("  {:<40} {:>+8.1}%{flag}", r.name, pct));
             }
-            None => println!("  {:<40}      new", r.name),
+            None => lines.push(format!("  {:<40}      new", r.name)),
         }
     }
-    // A baseline entry this suite no longer runs is listed, never gated:
-    // silently dropping it would hide a benchmark's removal.
     if let Some(Json::Obj(prior_benches)) = prior.get("benches") {
         for (name, _) in prior_benches {
-            if !h.records().iter().any(|r| r.name == *name) {
-                println!("  {name:<40}  removed");
+            if !records.iter().any(|r| r.name == *name) {
+                lines.push(format!("  {name:<40}  removed"));
             }
         }
     }
     if regressions > 0 {
-        println!(
+        lines.push(format!(
             "{regressions} benchmark(s) regressed more than {regress_pct:.0}% \
              (timing noise is expected in smoke mode)"
-        );
-        if strict {
-            return Err(format!("{regressions} benchmark regression(s) over threshold").into());
-        }
+        ));
     }
-    Ok(())
+    (lines.join("\n"), regressions)
 }
 
 fn cmd_capture(flags: &Flags) -> Result<(), CliError> {
@@ -939,13 +960,13 @@ COMMANDS:
              reconstruct per-row exposure from a trace (saved or run
              fresh): max activations-per-residency vs T_RRS verdict,
              relocation entropy, optional Perfetto timeline export
-    bench-report [--smoke] [--out FILE] [--threshold PCT] [--strict]
-             [--gate PCT] [--baseline FILE]
-             run the standard bench suite, snapshot medians to
-             BENCH_*.json (default BENCH_PR5.json), diff against
-             --baseline (default: most recent prior snapshot) and
-             flag regressions; --gate PCT exits non-zero when any
-             median regresses more than PCT% (or no baseline exists)
+    bench-report --out FILE [--smoke] [--gate PCT] [--baseline FILE]
+             run the smoke tier of the bench registry, snapshot its
+             medians to FILE (a BENCH_*.json), diff against --baseline
+             (default: the most recent other BENCH_*.json beside FILE)
+             and flag regressions over 10%; --gate PCT flags them over
+             PCT% and exits non-zero on any, or when no baseline can
+             be read; --smoke shortens measurement (CI speed)
     capture  --workload <name> --records N --out <file> [--text]
     replay   --trace <file> --defense <d>                   replay a trace file
     figure   <name|all> [--scale N] [--instr N] [--workloads all|table3|N]
@@ -1208,9 +1229,14 @@ mpki 12
         let dir = std::env::temp_dir().join("rrs_cli_bench_report");
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
+        // The most recent other snapshot beside --out is the diff's prior.
+        std::fs::write(
+            dir.join("BENCH_PR3.json"),
+            r#"{"schema":"rrs-bench-v1","benches":{"prince/encrypt":{"median_ns":1000000}}}"#,
+        )
+        .unwrap();
         let out = dir.join("BENCH_PR4.json");
-        let cmd = format!("bench-report --smoke --out {}", out.display());
-        // First run: no prior snapshot — must not panic.
+        let cmd = format!("bench-report --smoke --gate 100000 --out {}", out.display());
         dispatch(&argv(&cmd)).unwrap();
         let doc = rrs_json::Json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
         assert_eq!(
@@ -1230,9 +1256,14 @@ mpki 12
             assert!(entry.get("iters").and_then(|v| v.as_u64()).unwrap() > 0);
             assert!(entry.get("git_rev").and_then(|v| v.as_str()).is_some());
         }
-        // Second run with a prior present: the diff path executes.
-        std::fs::rename(&out, dir.join("BENCH_PR3.json")).unwrap();
-        dispatch(&argv(&cmd)).unwrap();
+    }
+
+    fn record(name: &str, ns_per_iter: f64) -> bench::harness::Record {
+        bench::harness::Record {
+            name: name.to_string(),
+            ns_per_iter,
+            iters: 1,
+        }
     }
 
     #[test]
@@ -1242,51 +1273,60 @@ mpki 12
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("BENCH_GATE_OUT.json");
 
-        // Gate with no baseline anywhere: must fail, a silent pass is useless.
+        // Gate with no baseline anywhere, or an unreadable one: must fail
+        // before the suite runs (nothing is written), a silent pass is useless.
         let cmd = format!("bench-report --smoke --gate 50 --out {}", out.display());
         assert!(dispatch(&argv(&cmd)).is_err());
-
-        // A generous gate against a real smoke snapshot passes (threshold is
-        // huge so timing noise cannot trip it).
-        let baseline = dir.join("BENCH_BASE.json");
-        let seed = format!("bench-report --smoke --out {}", baseline.display());
-        dispatch(&argv(&seed)).unwrap();
         let cmd = format!(
-            "bench-report --smoke --gate 100000 --baseline {} --out {}",
-            baseline.display(),
+            "bench-report --smoke --gate 50 --baseline {} --out {}",
+            dir.join("BENCH_MISSING.json").display(),
             out.display()
         );
-        dispatch(&argv(&cmd)).unwrap();
+        assert!(dispatch(&argv(&cmd)).is_err());
+        assert!(!out.exists(), "a failed gate setup must not write");
 
+        let records = [record("prince/encrypt", 90.0), record("new/bench", 5.0)];
         // A baseline entry the suite no longer runs is reported as removed,
-        // not gated: the same generous gate still passes.
-        let extra = dir.join("BENCH_EXTRA.json");
-        std::fs::write(
-            &extra,
-            r#"{"schema":"rrs-bench-v1","benches":{"prince/encrypt":{"median_ns":1000000},"retired/bench":{"median_ns":1.0}}}"#,
+        // not gated; a bench the baseline lacks is new.
+        let prior = rrs_json::Json::parse(
+            r#"{"schema":"rrs-bench-v1","benches":{"prince/encrypt":{"median_ns":100},"retired/bench":{"median_ns":1.0}}}"#,
         )
         .unwrap();
-        let cmd = format!(
-            "bench-report --smoke --gate 100000 --baseline {} --out {}",
-            extra.display(),
-            out.display()
-        );
-        dispatch(&argv(&cmd)).unwrap();
+        let (report, regressions) = bench_diff(&records, &prior, Some(50.0));
+        assert_eq!(regressions, 0, "{report}");
+        let line = |name: &str| report.lines().find(|l| l.contains(name)).unwrap();
+        assert!(line("retired/bench").ends_with("removed"), "{report}");
+        assert!(line("new/bench").ends_with("new"), "{report}");
+        assert!(line("prince/encrypt").ends_with("-10.0%"), "{report}");
 
-        // A baseline with an absurdly fast median forces a regression over
-        // any threshold: the gate must exit non-zero.
-        let doctored = dir.join("BENCH_DOCTORED.json");
-        std::fs::write(
-            &doctored,
+        // A baseline with an absurdly fast median is a regression over any
+        // threshold, and without a gate the label threshold is 10%.
+        let doctored = rrs_json::Json::parse(
             r#"{"schema":"rrs-bench-v1","benches":{"prince/encrypt":{"median_ns":0.0001}}}"#,
         )
         .unwrap();
-        let cmd = format!(
-            "bench-report --smoke --gate 50 --baseline {} --out {}",
-            doctored.display(),
-            out.display()
-        );
-        assert!(dispatch(&argv(&cmd)).is_err());
+        let (report, regressions) = bench_diff(&records, &doctored, Some(50.0));
+        assert_eq!(regressions, 1);
+        assert!(report.contains("REGRESSION"));
+        let (_, regressions) = bench_diff(&records[..1], &prior, None);
+        assert_eq!(regressions, 0, "-10% is no regression");
+        let slower = [record("prince/encrypt", 115.0)];
+        assert_eq!(bench_diff(&slower, &prior, None).1, 1, "+15% is over 10%");
+        assert_eq!(bench_diff(&slower, &prior, Some(20.0)).1, 0);
+    }
+
+    #[test]
+    fn bench_report_rejects_missing_out_and_unknown_flags() {
+        let dir = std::env::temp_dir().join("rrs_cli_bench_flags");
+        let _ = std::fs::remove_dir_all(&dir);
+        let out = dir.join("BENCH_FLAGS.json");
+        assert!(dispatch(&argv("bench-report --smoke")).is_err());
+        // The retired --threshold/--strict, and a flag it never had.
+        for flag in ["--threshold 5", "--strict", "--quick"] {
+            let cmd = format!("bench-report --smoke {flag} --out {}", out.display());
+            assert!(dispatch(&argv(&cmd)).is_err(), "{flag}");
+        }
+        assert!(!dir.exists(), "a rejected command must not write");
     }
 
     #[test]

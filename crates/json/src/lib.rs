@@ -224,25 +224,8 @@ impl Json {
         }
     }
 
-    /// Parses a JSON document.
-    ///
-    /// Flat compact objects — the shape of every telemetry-event line and
-    /// per-cell result record — take a single-pass fast path through
-    /// [`scan_flat_object`]; everything else (nesting, escapes, interior
-    /// whitespace) falls back to the general recursive parser with
-    /// identical results.
+    /// Parses a JSON document with a recursive-descent parser.
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        if let Some(v) = Json::parse_flat(text) {
-            return Ok(v);
-        }
-        Json::parse_general(text)
-    }
-
-    /// The general recursive-descent parser, with no fast path in front.
-    /// Exposed so equivalence tests can diff it against [`Json::parse`];
-    /// callers should use [`Json::parse`].
-    #[doc(hidden)]
-    pub fn parse_general(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
@@ -255,130 +238,6 @@ impl Json {
         }
         Ok(v)
     }
-
-    /// Builds a [`Json::Obj`] via the flat scanner; `None` means the input
-    /// is not a supported flat compact object and must take the slow path.
-    fn parse_flat(text: &str) -> Option<Json> {
-        let mut fields = Vec::new();
-        let complete = scan_flat_object(text, |key, value| {
-            fields.push((
-                key.to_string(),
-                match value {
-                    FlatValue::Null => Json::Null,
-                    FlatValue::Bool(b) => Json::Bool(b),
-                    FlatValue::Num(s) => Json::Num(s.to_string()),
-                    FlatValue::Str(s) => Json::Str(s.to_string()),
-                },
-            ));
-        });
-        complete.then_some(Json::Obj(fields))
-    }
-}
-
-/// A borrowed scalar yielded by [`scan_flat_object`]. String and number
-/// lexemes point into the input — the scanner never allocates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FlatValue<'a> {
-    /// `null`
-    Null,
-    /// `true` / `false`
-    Bool(bool),
-    /// A number lexeme (validated against the same grammar as the general
-    /// parser, but not converted).
-    Num(&'a str),
-    /// A string with no escape sequences (raw slice between the quotes).
-    Str(&'a str),
-}
-
-/// Single-pass, zero-allocation scanner over a *flat compact* JSON object:
-/// `{"key":value,...}` with scalar values only, no escape sequences in
-/// strings, and no whitespace except leading/trailing around the document.
-///
-/// Calls `on_field` once per field in document order and returns `true` if
-/// the whole input was consumed. Returns `false` as soon as an unsupported
-/// shape appears (nesting, escapes, interior whitespace, malformed syntax)
-/// — the caller must then discard any fields already reported and re-parse
-/// with [`Json::parse`]'s general path. A `false` therefore never means
-/// "invalid JSON", only "not scannable".
-pub fn scan_flat_object<'a>(
-    text: &'a str,
-    mut on_field: impl FnMut(&'a str, FlatValue<'a>),
-) -> bool {
-    let trimmed = text.trim_matches([' ', '\t', '\n', '\r']);
-    let bytes = trimmed.as_bytes();
-    if bytes.first() != Some(&b'{') || bytes.last() != Some(&b'}') {
-        return false;
-    }
-    if bytes.len() == 2 {
-        return true; // {}
-    }
-    let mut pos = 1;
-    let end = bytes.len() - 1; // index of the closing '}'
-    loop {
-        // Key.
-        let Some((key, next)) = scan_plain_string(trimmed, pos) else {
-            return false;
-        };
-        pos = next;
-        if bytes.get(pos) != Some(&b':') {
-            return false;
-        }
-        pos += 1;
-        // Value.
-        let (value, next) = match bytes.get(pos) {
-            Some(b'"') => {
-                let Some((s, next)) = scan_plain_string(trimmed, pos) else {
-                    return false;
-                };
-                (FlatValue::Str(s), next)
-            }
-            Some(b'n') if bytes[pos..].starts_with(b"null") => (FlatValue::Null, pos + 4),
-            Some(b't') if bytes[pos..].starts_with(b"true") => (FlatValue::Bool(true), pos + 4),
-            Some(b'f') if bytes[pos..].starts_with(b"false") => (FlatValue::Bool(false), pos + 5),
-            Some(b'-' | b'0'..=b'9') => {
-                let mut j = pos;
-                while j < end && matches!(bytes[j], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-                {
-                    j += 1;
-                }
-                let lexeme = &trimmed[pos..j];
-                if lexeme.parse::<f64>().is_err() {
-                    return false;
-                }
-                (FlatValue::Num(lexeme), j)
-            }
-            _ => return false, // nesting, whitespace, or malformed
-        };
-        on_field(key, value);
-        pos = next;
-        match bytes.get(pos) {
-            Some(b',') => pos += 1,
-            Some(b'}') if pos == end => return true,
-            _ => return false,
-        }
-    }
-}
-
-/// Scans a `"..."` string with no escapes starting at `pos`; returns the
-/// raw slice between the quotes and the position after the closing quote.
-/// Bails (`None`) on `\`, control bytes, or a missing terminator.
-#[inline]
-fn scan_plain_string(text: &str, pos: usize) -> Option<(&str, usize)> {
-    let bytes = text.as_bytes();
-    if bytes.get(pos) != Some(&b'"') {
-        return None;
-    }
-    let start = pos + 1;
-    let mut j = start;
-    while let Some(&b) = bytes.get(j) {
-        match b {
-            b'"' => return Some((&text[start..j], j + 1)),
-            b'\\' => return None,
-            _ if b < 0x20 => return None,
-            _ => j += 1,
-        }
-    }
-    None
 }
 
 fn write_escaped(out: &mut String, s: &str) {
@@ -701,6 +560,27 @@ mod tests {
         assert_eq!(parsed.to_string_pretty(), text);
         let compact = doc().to_string_compact();
         assert_eq!(Json::parse(&compact).unwrap().to_string_compact(), compact);
+        // Flat event lines, delimiters inside strings, escapes, nesting,
+        // arrays and bare scalars all re-serialize to their compact input.
+        for text in [
+            r#"{}"#,
+            r#"{"at":12345,"kind":"act","bank":3,"row":81920}"#,
+            r#"{"at":77,"kind":"swap_start","row_a":5,"row_b":1024,"ok":true,"x":null}"#,
+            r#"{"ipc":2.125,"ok":true,"skip":false,"note":null}"#,
+            r#"{"neg":-1.5e-3,"big":18446744073709551615}"#,
+            r#"{"s":"with, comma and } brace"}"#,
+            r#"{"esc":"a\nb"}"#,
+            r#"{"nested":{"k":1}}"#,
+            r#"{"arr":[1,2]}"#,
+            r#"[1,2,3]"#,
+            r#"3.25"#,
+        ] {
+            let parsed = Json::parse(text).unwrap();
+            assert_eq!(parsed.to_string_compact(), text, "{text:?}");
+        }
+        // Surrounding and interior whitespace is insignificant.
+        assert_eq!(Json::parse("  {\"a\":1}\n"), Json::parse(r#"{"a":1}"#));
+        assert_eq!(Json::parse(r#"{ "a": 1 }"#), Json::parse(r#"{"a":1}"#));
     }
 
     #[test]
@@ -737,70 +617,21 @@ mod tests {
     #[test]
     fn malformed_inputs_error_not_panic() {
         for bad in [
-            "", "{", "[1,", "tru", "{\"a\"}", "1 2", "\"\\q\"", "{\"a\":}",
-        ] {
-            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
-        }
-    }
-
-    #[test]
-    fn fast_path_matches_general_parser() {
-        // Flat shapes (fast path engages) and near-misses (it must bail):
-        // both must produce exactly what the general parser produces.
-        let cases = [
-            r#"{}"#,
-            r#"{"at":12345,"kind":"act","bank":3,"row":81920}"#,
-            r#"{"ipc":2.125,"ok":true,"skip":false,"note":null}"#,
-            r#"{"neg":-1.5e-3,"big":18446744073709551615}"#,
-            "  {\"a\":1}\n",
-            r#"{"s":"with, comma and } brace"}"#,
-            r#"{"esc":"a\nb"}"#,     // escape -> general path
-            r#"{ "a": 1 }"#,         // interior whitespace -> general path
-            r#"{"nested":{"k":1}}"#, // nesting -> general path
-            r#"{"arr":[1,2]}"#,      // array -> general path
-            r#"[1,2,3]"#,            // not an object -> general path
-            r#"3.25"#,
-        ];
-        for text in cases {
-            assert_eq!(
-                Json::parse(text),
-                Json::parse_general(text),
-                "fast/general divergence on {text:?}"
-            );
-        }
-        // Malformed inputs must still error identically through the front door.
-        for bad in [
+            "",
             "{",
+            "[1,",
+            "tru",
+            "{\"a\"}",
+            "1 2",
+            "\"\\q\"",
+            "{\"a\":}",
             r#"{"a":1"#,
             r#"{"a":1,}"#,
             r#"{"a":01e}"#,
             "{\"a\":1}}",
         ] {
-            assert_eq!(Json::parse(bad), Json::parse_general(bad), "{bad:?}");
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
         }
-    }
-
-    #[test]
-    fn flat_scanner_yields_borrowed_fields() {
-        let line = r#"{"at":77,"kind":"swap_start","row_a":5,"row_b":1024,"ok":true,"x":null}"#;
-        let mut fields = Vec::new();
-        assert!(scan_flat_object(line, |k, v| fields.push((k, v))));
-        assert_eq!(
-            fields,
-            vec![
-                ("at", FlatValue::Num("77")),
-                ("kind", FlatValue::Str("swap_start")),
-                ("row_a", FlatValue::Num("5")),
-                ("row_b", FlatValue::Num("1024")),
-                ("ok", FlatValue::Bool(true)),
-                ("x", FlatValue::Null),
-            ]
-        );
-        // Unsupported shapes report a clean bail.
-        assert!(!scan_flat_object(r#"{"a":[1]}"#, |_, _| {}));
-        assert!(!scan_flat_object(r#"{"a":"\n"}"#, |_, _| {}));
-        assert!(!scan_flat_object(r#"not json"#, |_, _| {}));
     }
 
     #[test]
