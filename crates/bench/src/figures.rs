@@ -637,7 +637,7 @@ fn fig10(args: &FigureArgs, out: &mut Output) {
         out.line(format_args!(
             "{:<12} {:>10} {:>11.2}% {:>13.1}%",
             format!("{}K ({mult}x)", t_rh_full as f64 / 1000.0),
-            cfg.t_rh() / rrs::core::DEFAULT_K,
+            cfg.t_rrs(),
             overall_slowdown_pct(&runs),
             paper
         ));
@@ -1226,7 +1226,7 @@ fn duty_cycle(args: &FigureArgs, out: &mut Output) {
     out.line(format_args!(
         "scale 1/{}: T_RRS = {}, ACT_max = {} per bank per epoch\n",
         cfg.scale,
-        cfg.t_rh() / rrs::core::DEFAULT_K,
+        cfg.t_rrs(),
         act_max
     ));
 

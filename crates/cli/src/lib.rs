@@ -8,10 +8,11 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use rrs::campaign::{Campaign, CellAction, RunOptions};
+use rrs::campaign::{Campaign, Cell, CellAction, RunOptions};
 use rrs::experiments::{ExperimentConfig, MitigationKind};
-use rrs::forensics::{ExportOptions, ExposureConfig, ExposureReport, TraceHeader};
+use rrs::forensics::{saved_trace, ExportOptions, ExposureConfig, ExposureReport};
 use rrs::sim::{SimResult, TraceSource};
+use rrs::telemetry::{Telemetry, DEFAULT_TRACE_CAPACITY};
 use rrs::workloads::catalog::{all_workloads, spec_by_name, table3_workloads, Workload};
 use rrs::workloads::AttackKind;
 use rrs_json::Json;
@@ -102,11 +103,16 @@ impl Flags {
         }
     }
 
-    /// Rejects any flag outside the space-separated `values` (which take
-    /// a value) and `switches` (which take none), so a typo or a retired
-    /// option is an error rather than silently ignored.
-    fn only(&self, values: &str, switches: &str) -> Result<(), CliError> {
-        let allowed = |list: &str, key: &str| list.split(' ').any(|k| k == key);
+    /// Rejects any flag outside the space-separated lists `values` (flags
+    /// that take a value) and `switches` (flags that take none), so a typo
+    /// or a retired option is an error rather than silently ignored.
+    fn only(&self, values: &[&str], switches: &[&str]) -> Result<(), CliError> {
+        let allowed = |lists: &[&str], key: &str| {
+            lists
+                .iter()
+                .flat_map(|l| l.split_whitespace())
+                .any(|k| k == key)
+        };
         if let Some((key, value)) = self.pairs.iter().find(|(k, _)| !allowed(values, k)) {
             return Err(format!("unexpected flag --{key} {value}").into());
         }
@@ -115,6 +121,15 @@ impl Flags {
             Some(key) => Err(format!("unknown flag --{key}").into()),
             None => Ok(()),
         }
+    }
+
+    /// [`Flags::only`] for a verb that runs cells through the campaign
+    /// engine: the shared and [`Flags::run_options`] flags, plus its own.
+    fn only_run(&self, values: &str, switches: &str) -> Result<(), CliError> {
+        self.only(
+            &[SHARED, "threads out", values],
+            &["force quiet trace", switches],
+        )
     }
 
     /// Builds the experiment configuration from the shared flags.
@@ -148,8 +163,12 @@ impl Flags {
 
     /// Campaign execution options from the shared flags: `--threads N`,
     /// `--out DIR` (per-cell result cache, resume-on-rerun), `--force`,
-    /// `--quiet`, `--trace` (record telemetry; skips the result cache).
+    /// `--quiet`, `--trace` (save each cell's trace and exposure report
+    /// under `--out`, which it requires; skips the result cache).
     pub fn run_options(&self) -> Result<RunOptions, CliError> {
+        if self.has("trace") && self.get("out").is_none() {
+            return Err("--trace needs --out DIR: traces are kept only as files".into());
+        }
         Ok(RunOptions {
             threads: self.get_num::<usize>("threads")?,
             out_dir: self.get("out").map(std::path::PathBuf::from),
@@ -173,6 +192,9 @@ impl Flags {
         })
     }
 }
+
+/// The flags [`Flags::experiment`] reads, which every simulating verb takes.
+const SHARED: &str = "scale instr t-rh cores seed";
 
 /// Maps a defense name to its kind.
 pub fn parse_defense(name: &str) -> Result<MitigationKind, CliError> {
@@ -265,7 +287,6 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
         "attack" => cmd_attack(&flags),
         "sweep" => cmd_sweep(&flags),
         "campaign" => cmd_campaign(&flags),
-        "trace" => cmd_trace(&flags),
         "forensics" => cmd_forensics(&flags),
         "bench-report" => cmd_bench_report(&flags),
         "capture" => cmd_capture(&flags),
@@ -279,6 +300,7 @@ pub fn dispatch(args: &[String]) -> Result<(), CliError> {
 }
 
 fn cmd_run(flags: &Flags) -> Result<(), CliError> {
+    flags.only_run("workload spec-file defense", "baseline")?;
     let cfg = flags.experiment()?;
     let name = flags.get("workload").unwrap_or("gcc");
     // `--spec-file` extends the catalog with user-defined workloads.
@@ -312,6 +334,7 @@ fn cmd_run(flags: &Flags) -> Result<(), CliError> {
 }
 
 fn cmd_attack(flags: &Flags) -> Result<(), CliError> {
+    flags.only_run("pattern defense epochs", "")?;
     let cfg = flags.experiment()?;
     let attack = parse_attack(flags.get("pattern").unwrap_or("double-sided"), &cfg)?;
     let kind = flags.defense()?;
@@ -335,6 +358,7 @@ fn cmd_attack(flags: &Flags) -> Result<(), CliError> {
 }
 
 fn cmd_sweep(flags: &Flags) -> Result<(), CliError> {
+    flags.only_run("defense workloads", "")?;
     let cfg = flags.experiment()?;
     let kind = flags.defense()?;
     let pool = flags.workload_pool("table3")?;
@@ -370,6 +394,7 @@ fn cmd_sweep(flags: &Flags) -> Result<(), CliError> {
 }
 
 fn cmd_campaign(flags: &Flags) -> Result<(), CliError> {
+    flags.only_run("workloads defenses attacks epochs", "")?;
     let cfg = flags.experiment()?;
     let pool = flags.workload_pool("table3")?;
     let kinds: Vec<MitigationKind> = flags
@@ -483,7 +508,10 @@ fn cmd_figure(args: &[String]) -> Result<(), CliError> {
             .ok_or_else(|| CliError(format!("unknown figure {name:?} (all|{})", names())))?]
     };
     let mut flags = Flags::parse(rest)?;
-    flags.only("scale instr workloads epochs threads out", "force quiet")?;
+    flags.only(
+        &["scale instr workloads epochs threads out"],
+        &["force quiet"],
+    )?;
     // The figures' own defaults: a 1/100 time scale, 2 M instructions per
     // core, and the shared `results/` cell cache.
     flags.set_default("scale", "100");
@@ -526,44 +554,40 @@ fn cmd_figure(args: &[String]) -> Result<(), CliError> {
     report_write_errors(&write_errors)
 }
 
-/// The scenario `rrs trace` and `rrs forensics` simulate: `--pattern`
-/// selects an attack campaign over `--epochs` windows (default 1),
-/// otherwise the benign `--workload` (default gcc).
-fn cell_action(flags: &Flags, cfg: &ExperimentConfig) -> Result<CellAction, CliError> {
-    let Some(pattern) = flags.get("pattern") else {
-        let name = flags.get("workload").unwrap_or("gcc");
-        let spec =
-            spec_by_name(name).ok_or_else(|| CliError(format!("unknown workload {name:?}")))?;
-        return Ok(CellAction::Workload(Workload::Single(spec)));
-    };
-    let kind = parse_attack(pattern, cfg)?;
-    let epochs = flags.get_num::<u64>("epochs")?.unwrap_or(1);
-    Ok(CellAction::Attack { kind, epochs })
-}
-
-fn cmd_trace(flags: &Flags) -> Result<(), CliError> {
-    let cfg = flags.experiment()?;
-    let kind = flags.defense()?;
+/// Runs one cell on a tracing spine, as `rrs campaign --trace` runs it
+/// (same cell, same seed): an attack `--pattern` over `--epochs` windows
+/// (default 1), otherwise the benign `--workload` (default gcc). Prints the
+/// run, its event kinds and counters, and saves the trace (`--out`) and the
+/// registry snapshot (`--summary`). The exposure report warns of drops.
+fn run_traced(flags: &Flags, config: ExperimentConfig) -> Result<Telemetry, CliError> {
     let capacity = flags
         .get_num::<usize>("capacity")?
-        .unwrap_or(rrs::telemetry::DEFAULT_TRACE_CAPACITY);
-    let spine = rrs::telemetry::Telemetry::with_trace(capacity);
-    let result = cfg.prepare(cell_action(flags, &cfg)?, kind).run(&spine);
-    println!("workload     : {}", result.workload);
-    println!("defense      : {}", result.mitigation);
-    println!("cycles       : {}", result.cycles);
+        .unwrap_or(DEFAULT_TRACE_CAPACITY);
+    let action = match flags.get("pattern") {
+        Some(pattern) => CellAction::Attack {
+            kind: parse_attack(pattern, &config)?,
+            epochs: flags.get_num("epochs")?.unwrap_or(1),
+        },
+        None => {
+            let name = flags.get("workload").unwrap_or("gcc");
+            let spec =
+                spec_by_name(name).ok_or_else(|| CliError(format!("unknown workload {name:?}")))?;
+            CellAction::Workload(Workload::Single(spec))
+        }
+    };
+    let mitigation = flags.defense()?;
+    let cell = Cell {
+        config,
+        action,
+        mitigation,
+    };
+    let spine = Telemetry::with_trace(capacity);
+    print_run(&cell.prepare().run(&spine));
     println!(
-        "events       : {} recorded, {} dropped (capacity {})",
+        "events       : {} recorded, {} dropped (capacity {capacity})",
         spine.events_recorded(),
-        spine.events_dropped(),
-        capacity
+        spine.events_dropped()
     );
-    if spine.events_dropped() > 0 {
-        println!(
-            "WARN: {} events dropped (raise --capacity)",
-            spine.events_dropped()
-        );
-    }
     for (event, n) in spine.event_kind_counts() {
         println!("  {event:<18} {n}");
     }
@@ -571,82 +595,53 @@ fn cmd_trace(flags: &Flags) -> Result<(), CliError> {
     for (name, value) in spine.counters() {
         println!("  {name:<28} {value}");
     }
-    // The saved trace leads with a header record carrying the recorder
-    // bookkeeping (including drops), then one event per line.
-    let header = TraceHeader {
-        events_recorded: spine.events_recorded(),
-        events_dropped: spine.events_dropped(),
-        capacity: capacity as u64,
-    };
-    let mut jsonl = header.to_json().to_string_compact();
-    jsonl.push('\n');
-    jsonl.push_str(&spine.trace_jsonl().unwrap_or_default());
     if let Some(path) = flags.get("out") {
-        let path = output::write_as(path, OutputKind::TraceJsonl, &jsonl)?;
-        println!(
-            "trace        : {} ({} events, JSON lines)",
-            path.display(),
-            spine.events_recorded()
-        );
-    } else if flags.has("dump") {
-        print!("{jsonl}");
-    } else {
-        println!("trace        : pass --out <file> to save or --dump to print");
+        let text = saved_trace(&spine, capacity);
+        let path = output::write_as(path, OutputKind::TraceJsonl, &text)?;
+        println!("trace        : {} (JSON lines)", path.display());
     }
-    // `--summary <file>` saves the registry snapshot as a JSON document.
     if let Some(path) = flags.get("summary") {
-        let path = output::write_as(
-            path,
-            OutputKind::Json,
-            &spine.snapshot_json().to_string_pretty(),
-        )?;
+        let text = spine.snapshot_json().to_string_pretty();
+        let path = output::write_as(path, OutputKind::Json, &text)?;
         println!("summary      : {}", path.display());
     }
-    Ok(())
+    Ok(spine)
 }
 
-/// Default forensics ring capacity: LLC hit/miss events dominate traced
-/// runs, so the `rrs trace` default (64k) truncates most attack traces
-/// before a whole epoch fits.
-const FORENSICS_TRACE_CAPACITY: usize = 1 << 20;
-
+/// `rrs forensics`: the one traced-cell verb. Audits per-row exposure of
+/// a saved trace (`--trace FILE`) or of a fresh traced run.
 fn cmd_forensics(flags: &Flags) -> Result<(), CliError> {
-    let cfg = flags.experiment()?;
-    let t_rrs = (cfg.t_rh() / rrs::core::DEFAULT_K).max(1);
-    // Event source: a saved trace file, or a fresh traced simulation.
-    let (events, dropped) = if let Some(path) = flags.get("trace") {
-        let text =
-            std::fs::read_to_string(path).map_err(|e| CliError(format!("reading {path}: {e}")))?;
-        let parsed =
-            rrs::forensics::parse_jsonl(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
-        println!("trace        : {path} ({} events)", parsed.events.len());
-        let dropped = parsed.events_dropped();
-        (parsed.events, dropped)
-    } else {
-        let capacity = flags
-            .get_num::<usize>("capacity")?
-            .unwrap_or(FORENSICS_TRACE_CAPACITY);
-        let kind = flags.defense()?;
-        let spine = rrs::telemetry::Telemetry::with_trace(capacity);
-        let r = cfg.prepare(cell_action(flags, &cfg)?, kind).run(&spine);
-        println!("scenario     : {} under {}", r.workload, r.mitigation);
-        (spine.events(), spine.events_dropped())
+    // A saved trace is audited as it is: the flags that shape a run are errors.
+    let saved = flags.get("trace");
+    let source = match saved {
+        Some(_) => "trace",
+        None => "pattern workload defense epochs capacity out summary",
     };
-    if dropped > 0 {
-        println!("WARN: {dropped} events dropped (raise --capacity)");
+    flags.only(
+        &[SHARED, "threshold slack report perfetto", source],
+        &["acts"],
+    )?;
+    let cfg = flags.experiment()?;
+    let (events, dropped) = match saved {
+        Some(path) => {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| CliError(format!("reading {path}: {e}")))?;
+            let parsed =
+                rrs::forensics::parse_jsonl(&text).map_err(|e| CliError(format!("{path}: {e}")))?;
+            println!("trace        : {path} ({} events)", parsed.events.len());
+            (parsed.events, parsed.header.map(|h| h.events_dropped))
+        }
+        None => {
+            let spine = run_traced(flags, cfg)?;
+            (spine.events(), Some(spine.events_dropped()))
+        }
+    };
+    let mut config =
+        ExposureConfig::at_threshold(flags.get_num("threshold")?.unwrap_or(cfg.t_rrs()));
+    if let Some(slack) = flags.get_num("slack")? {
+        config.slack = slack;
     }
-    let threshold = flags.get_num::<u64>("threshold")?.unwrap_or(t_rrs);
-    // Slack defaults to one more swap threshold's worth: activations that
-    // land between the tracker crossing T_RRS and the swap completing.
-    let slack = flags.get_num::<u64>("slack")?.unwrap_or(threshold);
-    let report = ExposureReport::reconstruct(
-        &events,
-        ExposureConfig {
-            swap_threshold: threshold,
-            slack,
-        },
-        dropped,
-    );
+    let report = ExposureReport::reconstruct(&events, config, dropped);
     print!("{}", report.render_text());
     if let Some(path) = flags.get("report") {
         let path = output::write_as(path, OutputKind::Json, &report.to_json().to_string_pretty())?;
@@ -728,7 +723,7 @@ fn find_prior_snapshot(dir: &Path, current: &Path) -> Option<PathBuf> {
 }
 
 fn cmd_bench_report(flags: &Flags) -> Result<(), CliError> {
-    flags.only("out gate baseline", "smoke")?;
+    flags.only(&["out gate baseline"], &["smoke"])?;
     let smoke = flags.has("smoke");
     let out_raw = flags
         .get("out")
@@ -877,6 +872,7 @@ fn bench_diff(
 }
 
 fn cmd_capture(flags: &Flags) -> Result<(), CliError> {
+    flags.only(&[SHARED, "workload records out"], &["text"])?;
     let cfg = flags.experiment()?;
     let name = flags.get("workload").unwrap_or("gcc");
     let spec = spec_by_name(name).ok_or_else(|| CliError(format!("unknown workload {name:?}")))?;
@@ -903,6 +899,7 @@ fn cmd_capture(flags: &Flags) -> Result<(), CliError> {
 }
 
 fn cmd_replay(flags: &Flags) -> Result<(), CliError> {
+    flags.only(&[SHARED, "trace defense"], &[])?;
     let cfg = flags.experiment()?;
     let path = flags
         .get("trace")
@@ -946,20 +943,16 @@ COMMANDS:
              [--attacks p1,p2] [--epochs N]                 declarative grid run
              (cells execute in parallel; results cached under --out,
               default results/, and reruns skip finished cells)
-    trace    [--workload <name> | --pattern <p>] --defense <d>
-             [--epochs N] [--capacity N] [--out <file> | --dump]
-             [--summary <file>]
-             run once with telemetry tracing on; print counter and
-             event summaries, save the trace as JSON lines (.jsonl,
-             with a trace_header record) and the registry snapshot
-             as JSON (.json)
-    forensics [--trace <file> | --pattern <p> | --workload <name>]
-             [--defense <d>] [--epochs N] [--capacity N]
-             [--threshold N] [--slack N] [--acts]
-             [--report <out.json>] [--perfetto <out.json>]
-             reconstruct per-row exposure from a trace (saved or run
-             fresh): max activations-per-residency vs T_RRS verdict,
-             relocation entropy, optional Perfetto timeline export
+    forensics [--pattern <p> | --workload <name>] [--defense <d>] [--epochs N]
+             [--capacity N] [--out <file.jsonl>] [--summary <file.json>]
+             | --trace <file.jsonl>
+             [--threshold N] [--slack N] [--report <out.json>]
+             [--perfetto <out.json>] [--acts]
+             run one cell traced (the cell run/attack/campaign simulate;
+             prints its counters, saves the trace and registry snapshot)
+             or read a saved trace, then audit max activations per
+             residency vs T_RRS + slack: pass | fail | inconclusive
+             (events dropped or unknown); optional Perfetto export
     bench-report --out FILE [--smoke] [--gate PCT] [--baseline FILE]
              run the smoke tier of the bench registry, snapshot its
              medians to FILE (a BENCH_*.json), diff against --baseline
@@ -988,8 +981,9 @@ SHARED FLAGS:
     --out DIR    per-cell result cache (resume-on-rerun)
     --force      re-run cells even when cached
     --quiet      suppress per-cell progress lines
-    --trace      record telemetry for campaign cells (skips the result
-                 cache; writes <cell>.trace.jsonl next to <cell>.json)
+    --trace      trace campaign cells (needs --out; skips the result cache;
+                 writes <cell>.trace.jsonl and <cell>.forensics.json next
+                 to <cell>.json)
 
 DEFENSES: none | rrs | bh-512 | bh-1k | vfm | graphene | para | prob-rrs
 ATTACKS : single-sided | double-sided | half-double | many-sided |
@@ -1055,6 +1049,8 @@ mod tests {
     #[test]
     fn dispatch_rejects_unknown_commands() {
         assert!(dispatch(&argv("frobnicate")).is_err());
+        // `trace` is not a verb: `rrs forensics` runs traced cells.
+        assert!(dispatch(&argv("trace --workload hmmer")).is_err());
     }
 
     #[test]
@@ -1113,21 +1109,34 @@ mpki 12
         assert!(dispatch(&argv(&bad)).is_err());
     }
 
+    fn read(path: &Path) -> String {
+        std::fs::read_to_string(path).unwrap()
+    }
+
+    fn verdict(report: &Path) -> String {
+        let rep = Json::parse(&read(report)).unwrap();
+        rep.get("verdict")
+            .and_then(Json::as_str)
+            .unwrap()
+            .to_string()
+    }
+
     #[test]
-    fn trace_command_writes_json_lines() {
+    fn forensics_out_writes_json_lines() {
         let dir = std::env::temp_dir().join("rrs_cli_trace");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("hmmer.trace.jsonl");
+        // A ".json" trace path is corrected to ".jsonl".
+        let wrong = dir.join("hmmer.json");
         let summary = dir.join("hmmer.summary.json");
         let cmd = format!(
-            "trace --workload hmmer --defense rrs --scale 200 --instr 20000 \
+            "forensics --workload hmmer --defense rrs --scale 200 --instr 20000 \
              --cores 2 --out {} --summary {}",
-            path.display(),
+            wrong.display(),
             summary.display()
         );
         dispatch(&argv(&cmd)).unwrap();
-        let trace = std::fs::read_to_string(&path).unwrap();
-        assert!(!trace.is_empty(), "trace must record events");
+        assert!(!wrong.exists(), "mislabelled path must not be written");
+        let trace = read(&dir.join("hmmer.jsonl"));
         for line in trace.lines() {
             assert!(line.starts_with("{\"kind\":"), "bad event line: {line}");
         }
@@ -1136,90 +1145,131 @@ mpki 12
         assert!(trace.starts_with("{\"kind\":\"trace_header\""));
         let parsed = rrs::forensics::parse_jsonl(&trace).unwrap();
         let header = parsed.header.expect("saved traces carry a header");
+        assert!(!parsed.events.is_empty(), "trace must record events");
         assert_eq!(
             parsed.events.len() as u64,
             header.events_recorded - header.events_dropped
         );
         // The summary is a JSON registry snapshot.
-        let snap = std::fs::read_to_string(&summary).unwrap();
-        assert!(rrs_json::Json::parse(&snap).is_ok());
-        // Attack tracing works through the same command.
-        let atk = "trace --pattern double-sided --defense none --scale 200 --epochs 1";
-        dispatch(&argv(atk)).unwrap();
+        assert!(Json::parse(&read(&summary)).is_ok());
     }
 
+    /// A misspelt flag fails every verb before anything runs or is written,
+    /// and `--trace` needs `--out`: traces are kept only as files.
     #[test]
-    fn trace_out_extension_is_enforced() {
-        let dir = std::env::temp_dir().join("rrs_cli_trace_ext");
-        std::fs::create_dir_all(&dir).unwrap();
-        // A ".json" trace path is corrected to ".jsonl".
-        let wrong = dir.join("t.json");
-        let cmd = format!(
-            "trace --workload hmmer --defense rrs --scale 200 --instr 20000 \
-             --cores 2 --out {}",
-            wrong.display()
-        );
-        dispatch(&argv(&cmd)).unwrap();
-        assert!(!wrong.exists(), "mislabelled path must not be written");
-        assert!(dir.join("t.jsonl").exists());
+    fn every_verb_rejects_unknown_flags() {
+        for verb in [
+            "run",
+            "attack --pattern double-sided",
+            "sweep",
+            "campaign",
+            "forensics",
+            "forensics --trace /nonexistent.jsonl",
+            "capture --out /nonexistent/never.rrst",
+            "replay --trace /nonexistent.rrst",
+            "figure table1",
+            "bench-report --out /nonexistent/BENCH_X.json",
+        ] {
+            let cmd = format!("{verb} --defence none --scale 200");
+            let err = dispatch(&argv(&cmd)).expect_err(&cmd).to_string();
+            assert!(err.contains("--defence"), "{cmd}: {err}");
+        }
+        // A saved trace is audited, not re-run: run-only flags are errors.
+        let cmd = "forensics --trace /nonexistent.jsonl --pattern random";
+        assert!(dispatch(&argv(cmd)).is_err());
+        for verb in ["run", "attack", "sweep", "campaign"] {
+            let err = dispatch(&argv(&format!("{verb} --trace"))).unwrap_err();
+            assert!(err.to_string().contains("--out"), "{verb}: {err}");
+        }
     }
 
+    /// RRS bounds exposure and no defense does not. With a 1000-event ring
+    /// the attack drops events: a bounded exposure on the retained suffix
+    /// proves nothing, but an excess is real.
     #[test]
     fn forensics_pattern_verdicts_flip_with_the_defense() {
         let dir = std::env::temp_dir().join("rrs_cli_forensics");
         let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        let report = dir.join("rep.json");
         let perfetto = dir.join("out.json");
-        let cmd = format!(
-            "forensics --pattern double-sided --defense rrs --scale 200 \
-             --cores 2 --epochs 1 --report {} --perfetto {}",
-            report.display(),
-            perfetto.display()
-        );
-        dispatch(&argv(&cmd)).unwrap();
-        let rep = rrs_json::Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
-        assert_eq!(
-            rep.get("verdict").and_then(|v| v.as_str()),
-            Some("pass"),
-            "RRS must bound exposure: {rep:?}"
-        );
-        let doc = rrs_json::Json::parse(&std::fs::read_to_string(&perfetto).unwrap()).unwrap();
+        for (defense, capacity, want) in [
+            ("rrs", 1 << 20, "pass"),
+            ("none", 1 << 20, "fail"),
+            ("rrs", 1000, "inconclusive"),
+            ("none", 1000, "fail"),
+        ] {
+            let report = dir.join(format!("{defense}_{capacity}.json"));
+            let cmd = format!(
+                "forensics --pattern double-sided --defense {defense} --capacity {capacity} \
+                 --scale 200 --cores 2 --epochs 1 --report {} --perfetto {}",
+                report.display(),
+                perfetto.display()
+            );
+            dispatch(&argv(&cmd)).unwrap();
+            assert_eq!(verdict(&report), want, "{defense} with capacity {capacity}");
+        }
+        let doc = Json::parse(&read(&perfetto)).unwrap();
         let events = doc.get("traceEvents").and_then(|e| e.as_array()).unwrap();
         assert!(!events.is_empty(), "perfetto export has tracks");
-
-        // The same attack without a defense must fail the verdict.
-        let undefended = dir.join("rep_none.json");
-        let cmd = format!(
-            "forensics --pattern double-sided --defense none --scale 200 \
-             --cores 2 --epochs 1 --report {}",
-            undefended.display()
-        );
-        dispatch(&argv(&cmd)).unwrap();
-        let rep = rrs_json::Json::parse(&std::fs::read_to_string(&undefended).unwrap()).unwrap();
-        assert_eq!(rep.get("verdict").and_then(|v| v.as_str()), Some("fail"));
     }
 
+    /// `rrs forensics --out` and a traced campaign cell run the same seeded
+    /// cell, so they write byte-identical traces and reports, and
+    /// re-auditing the saved trace reproduces the report.
     #[test]
     fn forensics_reads_saved_traces() {
         let dir = std::env::temp_dir().join("rrs_cli_forensics_file");
-        std::fs::create_dir_all(&dir).unwrap();
-        let trace = dir.join("atk.trace.jsonl");
-        let cmd = format!(
-            "trace --pattern double-sided --defense rrs --scale 200 --cores 2 \
-             --epochs 1 --out {}",
-            trace.display()
-        );
-        dispatch(&argv(&cmd)).unwrap();
-        let report = dir.join("from_file.json");
-        let cmd = format!(
-            "forensics --trace {} --scale 200 --report {}",
-            trace.display(),
-            report.display()
-        );
-        dispatch(&argv(&cmd)).unwrap();
-        let rep = rrs_json::Json::parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
-        assert!(rep.get("max_exposure").and_then(|v| v.as_u64()).is_some());
+        let _ = std::fs::remove_dir_all(&dir);
+        let shared = "--scale 200 --cores 2 --instr 20000";
+        for (name, fresh, traced) in [
+            (
+                "random",
+                "forensics --pattern random --defense rrs --epochs 1",
+                "campaign --workloads 0 --attacks random --defenses rrs --epochs 1",
+            ),
+            (
+                "hmmer",
+                "forensics --workload hmmer --defense rrs",
+                "run --workload hmmer --defense rrs",
+            ),
+        ] {
+            let trace = dir.join(format!("{name}.trace.jsonl"));
+            let report = dir.join(format!("{name}.json"));
+            let cmd = format!(
+                "{fresh} {shared} --out {} --report {}",
+                trace.display(),
+                report.display()
+            );
+            dispatch(&argv(&cmd)).unwrap();
+            let cells = dir.join(name);
+            let cmd = format!(
+                "{traced} {shared} --trace --quiet --out {}",
+                cells.display()
+            );
+            dispatch(&argv(&cmd)).unwrap();
+            let written = |suffix: &str| {
+                let file = std::fs::read_dir(&cells)
+                    .unwrap()
+                    .map(|e| e.unwrap().path())
+                    .find(|p| p.to_string_lossy().ends_with(suffix))
+                    .unwrap();
+                read(&file)
+            };
+            assert_eq!(
+                read(&trace),
+                written(".trace.jsonl"),
+                "{name}: traces differ"
+            );
+            assert_eq!(read(&report), written(".forensics.json"), "{name}");
+
+            let replayed = dir.join(format!("{name}.replay.json"));
+            let cmd = format!(
+                "forensics --trace {} --scale 200 --report {}",
+                trace.display(),
+                replayed.display()
+            );
+            dispatch(&argv(&cmd)).unwrap();
+            assert_eq!(read(&report), read(&replayed), "{name}: re-audit differs");
+        }
         // A missing file errors cleanly.
         assert!(dispatch(&argv("forensics --trace /nonexistent.jsonl")).is_err());
     }

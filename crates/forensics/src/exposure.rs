@@ -1,5 +1,5 @@
 //! The exposure reconstructor: per-row residency intervals and the
-//! pass/fail verdict behind the paper's security claim.
+//! pass/fail/inconclusive verdict behind the paper's security claim.
 //!
 //! RRS's defense (§7) is that no physical row accumulates enough
 //! activations *at one location* for its neighbours to matter: every
@@ -25,9 +25,10 @@
 //!
 //! **Max exposure** is the largest count any row ever reached — the most
 //! activations any one row soaked at one location within one refresh
-//! window. With RRS at threshold `T`, the verdict passes iff that maximum
-//! stays within `T + slack`, where the slack covers the in-flight
-//! activations between crossing the threshold and the swap completing.
+//! window. With RRS at threshold `T`, the bound is `T + slack`, where the
+//! slack covers the in-flight activations between crossing the threshold
+//! and the swap completing. The [`Verdict`] fails when the maximum exceeds
+//! the bound; otherwise it passes only on a trace known to be complete.
 //!
 //! **Relocation entropy** is the Shannon entropy (bits) of the
 //! distribution of swap participations over rows — higher means the
@@ -53,9 +54,42 @@ pub struct ExposureConfig {
 }
 
 impl ExposureConfig {
+    /// The default audit of a defense with swap threshold `t`: a slack of
+    /// one more threshold's worth of activations.
+    pub fn at_threshold(t: u64) -> Self {
+        ExposureConfig {
+            swap_threshold: t,
+            slack: t,
+        }
+    }
+
     /// The exposure bound the verdict enforces.
     pub fn bound(&self) -> u64 {
         self.swap_threshold.saturating_add(self.slack)
+    }
+}
+
+/// The outcome of an exposure audit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Verdict {
+    /// Every row stayed within the bound, and the trace is complete.
+    Pass,
+    /// Some row exceeded the bound. Sound even on a truncated trace: a
+    /// missing prefix can only hide activations, never add them.
+    Fail,
+    /// No row exceeded the bound, but the trace dropped events or does not
+    /// say whether it did, so a hidden excess cannot be ruled out.
+    Inconclusive,
+}
+
+impl Verdict {
+    /// The verdict's stable lower-case name (the report's `verdict`).
+    pub fn name(self) -> &'static str {
+        match self {
+            Verdict::Pass => "pass",
+            Verdict::Fail => "fail",
+            Verdict::Inconclusive => "inconclusive",
+        }
     }
 }
 
@@ -97,8 +131,9 @@ pub struct ExposureReport {
     /// The `(bank, row)` that reached `max_exposure`, if any activations
     /// were seen (ties break to the lowest `(bank, row)`).
     pub worst_row: Option<(u64, u64)>,
-    /// Whether every row stayed within `swap_threshold + slack`.
-    pub pass: bool,
+    /// Whether every row stayed within `swap_threshold + slack`, and
+    /// whether the trace was complete enough to say so.
+    pub verdict: Verdict,
     /// Shannon entropy (bits) of swap participation over rows.
     pub relocation_entropy_bits: f64,
     /// Residency lengths (cycles), log₂-bucketed: bucket `i` counts
@@ -107,9 +142,10 @@ pub struct ExposureReport {
     pub residency_histogram: [u64; RESIDENCY_BUCKETS],
     /// Events replayed (all kinds).
     pub events_replayed: u64,
-    /// Drops reported by the trace header (0 when absent): non-zero means
-    /// the replay saw only a suffix of the run and underestimates.
-    pub events_dropped: u64,
+    /// Drops reported by the trace header (`None` when the trace has no
+    /// header): anything but `Some(0)` means the replay may have seen only
+    /// a suffix of the run and underestimates.
+    pub events_dropped: Option<u64>,
     /// Total relocation operations (swaps + unswaps) in the trace.
     pub relocation_ops: u64,
     /// Epoch rollovers seen.
@@ -118,9 +154,14 @@ pub struct ExposureReport {
 
 impl ExposureReport {
     /// Replays `events` (in order) and computes the exposure report.
-    /// `events_dropped` is carried into the report so consumers can see a
-    /// truncated trace for what it is.
-    pub fn reconstruct(events: &[Event], config: ExposureConfig, events_dropped: u64) -> Self {
+    /// `events_dropped` is what the producing recorder reported (`None`
+    /// when unknown); it decides between a pass and an inconclusive
+    /// verdict and is carried into the report.
+    pub fn reconstruct(
+        events: &[Event],
+        config: ExposureConfig,
+        events_dropped: Option<u64>,
+    ) -> Self {
         let mut states: BTreeMap<(u64, u64), RowState> = BTreeMap::new();
         let mut histogram = [0u64; RESIDENCY_BUCKETS];
         let mut relocation_ops = 0u64;
@@ -229,11 +270,18 @@ impl ExposureReport {
             }
         }
 
+        let verdict = if max_exposure > config.bound() {
+            Verdict::Fail
+        } else if events_dropped == Some(0) {
+            Verdict::Pass
+        } else {
+            Verdict::Inconclusive
+        };
         ExposureReport {
             config,
             max_exposure,
             worst_row,
-            pass: max_exposure <= config.bound(),
+            verdict,
             relocation_entropy_bits: relocation_entropy(&rows),
             residency_histogram: histogram,
             events_replayed: events.len() as u64,
@@ -297,16 +345,13 @@ impl ExposureReport {
             None => Json::Null,
         };
         Json::Obj(vec![
-            ("schema".to_string(), Json::str("rrs-forensics-v1")),
+            ("schema".to_string(), Json::str("rrs-forensics-v2")),
             (
                 "swap_threshold".to_string(),
                 Json::u64(self.config.swap_threshold),
             ),
             ("slack".to_string(), Json::u64(self.config.slack)),
-            (
-                "verdict".to_string(),
-                Json::str(if self.pass { "pass" } else { "fail" }),
-            ),
+            ("verdict".to_string(), Json::str(self.verdict.name())),
             ("max_exposure".to_string(), Json::u64(self.max_exposure)),
             ("worst_row".to_string(), worst),
             ("rows_tracked".to_string(), Json::usize(self.rows.len())),
@@ -325,7 +370,10 @@ impl ExposureReport {
                 "events_replayed".to_string(),
                 Json::u64(self.events_replayed),
             ),
-            ("events_dropped".to_string(), Json::u64(self.events_dropped)),
+            (
+                "events_dropped".to_string(),
+                self.events_dropped.map_or(Json::Null, Json::u64),
+            ),
             ("top_rows".to_string(), Json::Arr(top)),
         ])
     }
@@ -333,7 +381,7 @@ impl ExposureReport {
     /// A human-readable rendering of the report.
     pub fn render_text(&self) -> String {
         let mut out = String::new();
-        let verdict = if self.pass { "PASS" } else { "FAIL" };
+        let verdict = self.verdict.name().to_uppercase();
         out.push_str(&format!(
             "exposure verdict: {verdict} (max {} vs bound {} = threshold {} + slack {})\n",
             self.max_exposure,
@@ -355,11 +403,14 @@ impl ExposureReport {
             "relocation entropy: {:.4} bits\n",
             self.relocation_entropy_bits
         ));
-        if self.events_dropped > 0 {
-            out.push_str(&format!(
-                "WARNING: {} events dropped before recording — exposure is a lower bound\n",
-                self.events_dropped
-            ));
+        match self.events_dropped {
+            Some(0) => {}
+            Some(n) => out.push_str(&format!(
+                "WARNING: {n} events dropped before recording — exposure is a lower bound\n"
+            )),
+            None => out.push_str(
+                "WARNING: the trace has no header, so its drops are unknown — exposure is a lower bound\n",
+            ),
         }
         out.push_str("top rows (bank, row, max exposure, activations, relocations):\n");
         for r in self.top_rows(8) {
@@ -404,35 +455,27 @@ mod tests {
         }
     }
 
+    /// One activation of `(bank, row)` at each cycle of `at`.
+    fn acts(bank: u64, row: u64, at: std::ops::Range<u64>) -> impl Iterator<Item = Event> {
+        at.map(move |at| Event::Activation { at, bank, row })
+    }
+
     /// Hammer one row 10×, swap it away, hammer 10× more: max exposure is
     /// 10, not 20 — the swap broke the accumulation.
     #[test]
     fn swaps_reset_exposure() {
-        let mut events = Vec::new();
-        for i in 0..10 {
-            events.push(Event::Activation {
-                at: i,
-                bank: 0,
-                row: 5,
-            });
-        }
+        let mut events: Vec<Event> = acts(0, 5, 0..10).collect();
         events.push(Event::SwapDone {
             at: 10,
             bank: 0,
             row_a: 5,
             row_b: 900,
         });
-        for i in 0..10 {
-            events.push(Event::Activation {
-                at: 11 + i,
-                bank: 0,
-                row: 5,
-            });
-        }
-        let r = ExposureReport::reconstruct(&events, cfg(8, 2), 0);
+        events.extend(acts(0, 5, 11..21));
+        let r = ExposureReport::reconstruct(&events, cfg(8, 2), Some(0));
         assert_eq!(r.max_exposure, 10);
         assert_eq!(r.worst_row, Some((0, 5)));
-        assert!(r.pass, "10 <= 8 + 2");
+        assert_eq!(r.verdict, Verdict::Pass, "10 <= 8 + 2");
         let row5 = r.rows.iter().find(|r| r.row == 5).unwrap();
         assert_eq!(row5.total_activations, 20);
         assert_eq!(row5.relocations, 1);
@@ -445,39 +488,20 @@ mod tests {
     /// Without swaps the count just accumulates and the verdict fails.
     #[test]
     fn unmitigated_hammering_fails() {
-        let events: Vec<Event> = (0..50)
-            .map(|i| Event::Activation {
-                at: i,
-                bank: 1,
-                row: 3,
-            })
-            .collect();
-        let r = ExposureReport::reconstruct(&events, cfg(8, 2), 0);
+        let events: Vec<Event> = acts(1, 3, 0..50).collect();
+        let r = ExposureReport::reconstruct(&events, cfg(8, 2), Some(0));
         assert_eq!(r.max_exposure, 50);
-        assert!(!r.pass);
+        assert_eq!(r.verdict, Verdict::Fail);
     }
 
     /// Epoch rollovers (refresh windows) reset counts without ending
     /// residencies.
     #[test]
     fn epochs_reset_counts_but_not_residency() {
-        let mut events = Vec::new();
-        for i in 0..6 {
-            events.push(Event::Activation {
-                at: i,
-                bank: 0,
-                row: 1,
-            });
-        }
+        let mut events: Vec<Event> = acts(0, 1, 0..6).collect();
         events.push(Event::EpochRollover { at: 6, epoch: 0 });
-        for i in 0..7 {
-            events.push(Event::Activation {
-                at: 7 + i,
-                bank: 0,
-                row: 1,
-            });
-        }
-        let r = ExposureReport::reconstruct(&events, cfg(8, 0), 0);
+        events.extend(acts(0, 1, 7..14));
+        let r = ExposureReport::reconstruct(&events, cfg(8, 0), Some(0));
         assert_eq!(r.max_exposure, 7, "per-window max, not 13");
         assert_eq!(r.epochs, 1);
         let row = r.rows.first().unwrap();
@@ -486,34 +510,14 @@ mod tests {
 
     #[test]
     fn targeted_refresh_resets_one_row() {
-        let events = vec![
-            Event::Activation {
-                at: 0,
-                bank: 0,
-                row: 1,
-            },
-            Event::Activation {
-                at: 1,
-                bank: 0,
-                row: 2,
-            },
-            Event::Activation {
-                at: 2,
-                bank: 0,
-                row: 2,
-            },
-            Event::TargetedRefresh {
-                at: 3,
-                bank: 0,
-                row: 2,
-            },
-            Event::Activation {
-                at: 4,
-                bank: 0,
-                row: 2,
-            },
-        ];
-        let r = ExposureReport::reconstruct(&events, cfg(10, 0), 0);
+        let mut events: Vec<Event> = acts(0, 1, 0..1).chain(acts(0, 2, 1..3)).collect();
+        events.push(Event::TargetedRefresh {
+            at: 3,
+            bank: 0,
+            row: 2,
+        });
+        events.extend(acts(0, 2, 4..5));
+        let r = ExposureReport::reconstruct(&events, cfg(10, 0), Some(0));
         let row2 = r.rows.iter().find(|r| r.row == 2).unwrap();
         assert_eq!(row2.max_exposure, 2, "refresh reset the running count");
         assert_eq!(row2.total_activations, 3);
@@ -532,7 +536,7 @@ mod tests {
                 row_b: *b,
             });
         }
-        let r = ExposureReport::reconstruct(&events, cfg(1, 0), 0);
+        let r = ExposureReport::reconstruct(&events, cfg(1, 0), Some(0));
         assert!((r.relocation_entropy_bits - 2.0).abs() < 1e-9);
 
         let pair = vec![
@@ -549,7 +553,7 @@ mod tests {
                 row_b: 2,
             },
         ];
-        let r = ExposureReport::reconstruct(&pair, cfg(1, 0), 0);
+        let r = ExposureReport::reconstruct(&pair, cfg(1, 0), Some(0));
         assert!((r.relocation_entropy_bits - 1.0).abs() < 1e-9);
         assert_eq!(r.relocation_ops, 2);
     }
@@ -571,7 +575,7 @@ mod tests {
                 row_b: 2,
             },
         ];
-        let r = ExposureReport::reconstruct(&events, cfg(4, 0), 0);
+        let r = ExposureReport::reconstruct(&events, cfg(4, 0), Some(0));
         // Both rows of the pair close a residency at the swap: each sat at
         // its location since cycle 0, so two intervals of 1024 → bucket 10.
         assert_eq!(r.residency_histogram[10], 2, "closed intervals of 1024");
@@ -582,9 +586,9 @@ mod tests {
 
     #[test]
     fn empty_trace_passes_vacuously() {
-        let r = ExposureReport::reconstruct(&[], cfg(8, 0), 0);
+        let r = ExposureReport::reconstruct(&[], cfg(8, 0), Some(0));
         assert_eq!(r.max_exposure, 0);
-        assert!(r.pass);
+        assert_eq!(r.verdict, Verdict::Pass);
         assert!(r.worst_row.is_none());
         assert_eq!(r.relocation_entropy_bits, 0.0);
     }
@@ -596,8 +600,8 @@ mod tests {
             bank: 0,
             row: 1,
         }];
-        let a = ExposureReport::reconstruct(&events, cfg(0, 0), 3);
-        let b = ExposureReport::reconstruct(&events, cfg(0, 0), 3);
+        let a = ExposureReport::reconstruct(&events, cfg(0, 0), Some(3));
+        let b = ExposureReport::reconstruct(&events, cfg(0, 0), Some(3));
         assert_eq!(
             a.to_json().to_string_pretty(),
             b.to_json().to_string_pretty()
@@ -609,6 +613,36 @@ mod tests {
             "1 activation > bound 0"
         );
         assert_eq!(json.get("events_dropped").and_then(Json::as_u64), Some(3));
+        assert_eq!(
+            json.get("schema").and_then(Json::as_str),
+            Some("rrs-forensics-v2")
+        );
         assert!(a.render_text().contains("FAIL"));
+    }
+
+    /// The three outcomes, on a complete trace, a truncated one and one
+    /// whose drops are unknown (no header). An excess fails whatever was
+    /// dropped: drops only hide activations, so the excess is real.
+    #[test]
+    fn verdict_is_three_way() {
+        let hammer = |n| acts(0, 9, 0..n).collect::<Vec<_>>();
+        for (dropped, within, text) in [
+            (Some(0), Verdict::Pass, "PASS"),
+            (Some(7), Verdict::Inconclusive, "7 events dropped"),
+            (None, Verdict::Inconclusive, "no header"),
+        ] {
+            let r = ExposureReport::reconstruct(&hammer(4), cfg(4, 4), dropped);
+            assert_eq!(r.verdict, within, "dropped {dropped:?}");
+            assert!(r.render_text().contains(text), "{}", r.render_text());
+            let json = r.to_json();
+            assert_eq!(
+                json.get("verdict").and_then(Json::as_str),
+                Some(within.name())
+            );
+            let reported = json.get("events_dropped").and_then(Json::as_u64);
+            assert_eq!(reported, dropped, "unknown drops are null");
+            let r = ExposureReport::reconstruct(&hammer(20), cfg(4, 4), dropped);
+            assert_eq!(r.verdict, Verdict::Fail, "dropped {dropped:?}");
+        }
     }
 }

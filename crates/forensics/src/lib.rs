@@ -5,13 +5,14 @@
 //! does RRS actually keep every row's activations-at-one-location below
 //! the swap threshold?
 //!
-//! * [`parse`] — JSON-lines trace deserialization (with the optional
-//!   `trace_header` record the CLI prepends) back into [`Event`]s.
+//! * [`parse`] — the saved trace format: [`saved_trace`] writes a tracing
+//!   spine as a `trace_header` record plus JSON-lines events, and
+//!   [`parse_jsonl`] reads it back into [`Event`]s.
 //! * [`exposure`] — the reconstructor: replays the event stream into
 //!   per-physical-row residency intervals and computes
 //!   max-activations-per-residency, time-at-location histograms,
-//!   relocation entropy, and a pass/fail verdict against the configured
-//!   swap threshold.
+//!   relocation entropy, and a pass/fail/inconclusive verdict against the
+//!   configured swap threshold.
 //! * [`perfetto`] — a Chrome `trace_event` JSON exporter so swap
 //!   lifecycles, scheduler stalls, targeted refreshes, and epoch
 //!   rollovers render in <https://ui.perfetto.dev>.
@@ -28,6 +29,6 @@ pub mod exposure;
 pub mod parse;
 pub mod perfetto;
 
-pub use exposure::{ExposureConfig, ExposureReport, RowExposure};
-pub use parse::{parse_jsonl, ParsedTrace, TraceHeader};
+pub use exposure::{ExposureConfig, ExposureReport, RowExposure, Verdict};
+pub use parse::{parse_jsonl, saved_trace, ParsedTrace, TraceHeader};
 pub use perfetto::{export_trace, ExportOptions};

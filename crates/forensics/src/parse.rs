@@ -1,18 +1,16 @@
-//! JSON-lines trace deserialization.
-//!
-//! The inverse of [`TraceRecorder::to_jsonl`]: one compact JSON object per
-//! line, each parsed back into an [`Event`]. The CLI's `rrs trace --out`
-//! prepends one `trace_header` record carrying recorder bookkeeping
-//! (capacity, totals, drops); campaign trace files are raw event lines.
-//! Both shapes parse here — the header is optional and may appear at most
-//! once.
+//! The saved trace format: one `trace_header` record carrying the
+//! recorder's bookkeeping (capacity, totals, drops), then one compact
+//! JSON object per event ([`TraceRecorder::to_jsonl`]). [`saved_trace`]
+//! writes it — `rrs forensics --out` and campaign `--trace` cells both
+//! call it — and [`parse_jsonl`] reads it back into [`Event`]s. A raw
+//! event stream without the header parses too, but its drops are unknown.
 //!
 //! [`TraceRecorder::to_jsonl`]: rrs_telemetry::TraceRecorder::to_jsonl
 
 use rrs_json::Json;
-use rrs_telemetry::Event;
+use rrs_telemetry::{Event, Telemetry};
 
-/// The bookkeeping record `rrs trace --out` writes as the first line.
+/// The bookkeeping record a saved trace starts with.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraceHeader {
     /// Total events the recorder observed (retained + dropped).
@@ -61,6 +59,20 @@ impl TraceHeader {
     }
 }
 
+/// `spine`'s trace in the saved format: its header (the recorder held at
+/// most `capacity` events), then the retained events, one per line.
+pub fn saved_trace(spine: &Telemetry, capacity: usize) -> String {
+    let header = TraceHeader {
+        events_recorded: spine.events_recorded(),
+        events_dropped: spine.events_dropped(),
+        capacity: capacity as u64,
+    };
+    let mut text = header.to_json().to_string_compact();
+    text.push('\n');
+    text.push_str(&spine.trace_jsonl().unwrap_or_default());
+    text
+}
+
 /// A parsed trace: the events plus the optional header record.
 #[derive(Debug, Clone, Default)]
 pub struct ParsedTrace {
@@ -68,13 +80,6 @@ pub struct ParsedTrace {
     pub header: Option<TraceHeader>,
     /// The events, in file order (which is emission order).
     pub events: Vec<Event>,
-}
-
-impl ParsedTrace {
-    /// Events dropped by the producing recorder (0 without a header).
-    pub fn events_dropped(&self) -> u64 {
-        self.header.map_or(0, |h| h.events_dropped)
-    }
 }
 
 /// Parses a JSON-lines trace (raw, or with a `trace_header` first line).
@@ -127,7 +132,6 @@ mod tests {
                 row: 7
             }
         );
-        assert_eq!(t.events_dropped(), 0);
     }
 
     #[test]
@@ -143,7 +147,19 @@ mod tests {
         let t = parse_jsonl(&text).unwrap();
         assert_eq!(t.header, Some(h));
         assert_eq!(t.events, vec![Event::Refresh { at: 9 }]);
-        assert_eq!(t.events_dropped(), 36);
+    }
+
+    /// A saved trace starts with its header, then holds the retained
+    /// recorded − dropped events.
+    #[test]
+    fn saved_traces_lead_with_the_header() {
+        let spine = Telemetry::with_trace(3);
+        (0..5).for_each(|at| spine.emit(Event::Refresh { at }));
+        let t = parse_jsonl(&saved_trace(&spine, 3)).unwrap();
+        let header = t.header.expect("a saved trace has a header");
+        assert_eq!((header.events_recorded, header.events_dropped), (5, 2));
+        assert_eq!(header.capacity, 3);
+        assert_eq!(t.events, [2, 3, 4].map(|at| Event::Refresh { at }));
     }
 
     #[test]

@@ -14,6 +14,7 @@ use rrs_dram::bank::Bank;
 use rrs_dram::geometry::{DramGeometry, RowAddr};
 use rrs_dram::hammer::{BitFlip, HammerConfig, HammerModel};
 use rrs_dram::timing::{Cycle, TimingParams};
+use rrs_json::{FromJson, Json, JsonError, ToJson};
 use rrs_telemetry::{Counter, Event, Series, Telemetry};
 
 use crate::mapping::AddressMapper;
@@ -82,37 +83,101 @@ impl ControllerConfig {
     }
 }
 
-/// Aggregate controller statistics.
-#[derive(Debug, Clone, Default)]
-pub struct ControllerStats {
-    /// Read accesses served.
-    pub reads: u64,
-    /// Write accesses served.
-    pub writes: u64,
-    /// Row activations issued for demand accesses.
-    pub activations: u64,
-    /// Row-buffer hits.
-    pub row_hits: u64,
-    /// Row swaps executed (mitigation-issued).
-    pub swaps: u64,
-    /// Un-swaps executed (RIT evictions).
-    pub unswaps: u64,
-    /// Targeted (victim) refreshes executed.
-    pub targeted_refreshes: u64,
-    /// Full-memory preemptive refreshes (detector escalations).
-    pub full_refreshes: u64,
-    /// Cycles of activation stalling imposed by the mitigation
-    /// (BlockHammer's delays).
-    pub mitigation_delay_cycles: Cycle,
-    /// Channel-blocked cycles spent swapping rows.
-    pub swap_busy_cycles: Cycle,
-    /// Completed epochs.
-    pub epochs_completed: u64,
-    /// Swaps in each completed epoch (Figure 5's quantity).
-    pub epoch_swap_history: Vec<u64>,
-    /// Rows with ≥ `act_stat_threshold` activations in each completed epoch
-    /// (Table 3's "Rows ACT-800+").
-    pub epoch_hot_row_history: Vec<usize>,
+/// Declares the controller's statistics once. Each row is both a public
+/// [`ControllerStats`] field and the `ctrl.<name>` registry metric it is
+/// snapshotted from: counters first, then per-epoch series. The table
+/// generates the struct, the registry handles ([`CtrlMetrics`]), their
+/// registration, the snapshot behind [`MemoryController::stats`] and the
+/// JSON conversions, all in table order — the order `SimResult` JSON pins.
+macro_rules! controller_stats {
+    (
+        counters { $($(#[$cdoc:meta])* $counter:ident,)+ }
+        series { $($(#[$sdoc:meta])* $series:ident: $elem:ty,)+ }
+    ) => {
+        /// Aggregate controller statistics.
+        #[derive(Debug, Clone, Default)]
+        pub struct ControllerStats {
+            $($(#[$cdoc])* pub $counter: u64,)+
+            $($(#[$sdoc])* pub $series: Vec<$elem>,)+
+        }
+
+        /// The controller's registry handles: one [`Counter`]/[`Series`]
+        /// per field of [`ControllerStats`]. Holding the handles keeps the
+        /// hot path at one `Cell` store per bump — no registry lookup.
+        struct CtrlMetrics {
+            $($counter: Counter,)+
+            $($series: Series,)+
+        }
+
+        impl CtrlMetrics {
+            fn register(tel: &Telemetry) -> Self {
+                CtrlMetrics {
+                    $($counter: tel.counter(concat!("ctrl.", stringify!($counter))),)+
+                    $($series: tel.series(concat!("ctrl.", stringify!($series))),)+
+                }
+            }
+
+            fn snapshot(&self) -> ControllerStats {
+                ControllerStats {
+                    $($counter: self.$counter.get(),)+
+                    $($series: self.$series.values().into_iter().map(|v| v as $elem).collect(),)+
+                }
+            }
+        }
+
+        impl ToJson for ControllerStats {
+            fn to_json(&self) -> Json {
+                Json::Obj(vec![
+                    $((stringify!($counter).into(), Json::u64(self.$counter)),)+
+                    $((stringify!($series).into(), self.$series.to_json()),)+
+                ])
+            }
+        }
+
+        impl FromJson for ControllerStats {
+            fn from_json(json: &Json) -> Result<Self, JsonError> {
+                Ok(ControllerStats {
+                    $($counter: u64::from_json(json.field(stringify!($counter))?)?,)+
+                    $($series: Vec::from_json(json.field(stringify!($series))?)?,)+
+                })
+            }
+        }
+    };
+}
+
+controller_stats! {
+    counters {
+        /// Read accesses served.
+        reads,
+        /// Write accesses served.
+        writes,
+        /// Row activations issued for demand accesses.
+        activations,
+        /// Row-buffer hits.
+        row_hits,
+        /// Row swaps executed (mitigation-issued).
+        swaps,
+        /// Un-swaps executed (RIT evictions).
+        unswaps,
+        /// Targeted (victim) refreshes executed.
+        targeted_refreshes,
+        /// Full-memory preemptive refreshes (detector escalations).
+        full_refreshes,
+        /// Cycles of activation stalling imposed by the mitigation
+        /// (BlockHammer's delays).
+        mitigation_delay_cycles,
+        /// Channel-blocked cycles spent swapping rows.
+        swap_busy_cycles,
+        /// Completed epochs.
+        epochs_completed,
+    }
+    series {
+        /// Swaps in each completed epoch (Figure 5's quantity).
+        epoch_swap_history: u64,
+        /// Rows with ≥ `act_stat_threshold` activations in each completed
+        /// epoch (Table 3's "Rows ACT-800+").
+        epoch_hot_row_history: usize,
+    }
 }
 
 impl ControllerStats {
@@ -126,16 +191,6 @@ impl ControllerStats {
         }
     }
 
-    /// Mean hot rows per completed epoch (Table 3's quantity).
-    pub fn mean_hot_rows_per_epoch(&self) -> f64 {
-        if self.epoch_hot_row_history.is_empty() {
-            0.0
-        } else {
-            self.epoch_hot_row_history.iter().sum::<usize>() as f64
-                / self.epoch_hot_row_history.len() as f64
-        }
-    }
-
     /// Row-buffer hit rate.
     pub fn row_hit_rate(&self) -> f64 {
         let total = self.activations + self.row_hits;
@@ -143,46 +198,6 @@ impl ControllerStats {
             0.0
         } else {
             self.row_hits as f64 / total as f64
-        }
-    }
-}
-
-/// The controller's registry handles: one [`Counter`]/[`Series`] per field
-/// of [`ControllerStats`], registered under `ctrl.*` names. Holding the
-/// handles keeps the hot path at one `Cell` store per bump — no registry
-/// lookup.
-struct CtrlMetrics {
-    reads: Counter,
-    writes: Counter,
-    activations: Counter,
-    row_hits: Counter,
-    swaps: Counter,
-    unswaps: Counter,
-    targeted_refreshes: Counter,
-    full_refreshes: Counter,
-    mitigation_delay_cycles: Counter,
-    swap_busy_cycles: Counter,
-    epochs_completed: Counter,
-    epoch_swap_history: Series,
-    epoch_hot_row_history: Series,
-}
-
-impl CtrlMetrics {
-    fn register(tel: &Telemetry) -> Self {
-        CtrlMetrics {
-            reads: tel.counter("ctrl.reads"),
-            writes: tel.counter("ctrl.writes"),
-            activations: tel.counter("ctrl.activations"),
-            row_hits: tel.counter("ctrl.row_hits"),
-            swaps: tel.counter("ctrl.swaps"),
-            unswaps: tel.counter("ctrl.unswaps"),
-            targeted_refreshes: tel.counter("ctrl.targeted_refreshes"),
-            full_refreshes: tel.counter("ctrl.full_refreshes"),
-            mitigation_delay_cycles: tel.counter("ctrl.mitigation_delay_cycles"),
-            swap_busy_cycles: tel.counter("ctrl.swap_busy_cycles"),
-            epochs_completed: tel.counter("ctrl.epochs_completed"),
-            epoch_swap_history: tel.series("ctrl.epoch_swap_history"),
-            epoch_hot_row_history: tel.series("ctrl.epoch_hot_row_history"),
         }
     }
 }
@@ -269,30 +284,8 @@ impl MemoryController {
     }
 
     /// Accumulated statistics, snapshotted from the telemetry registry.
-    /// The returned block carries exactly the values the bespoke
-    /// `ControllerStats` fields used to accumulate.
     pub fn stats(&self) -> ControllerStats {
-        let m = &self.metrics;
-        ControllerStats {
-            reads: m.reads.get(),
-            writes: m.writes.get(),
-            activations: m.activations.get(),
-            row_hits: m.row_hits.get(),
-            swaps: m.swaps.get(),
-            unswaps: m.unswaps.get(),
-            targeted_refreshes: m.targeted_refreshes.get(),
-            full_refreshes: m.full_refreshes.get(),
-            mitigation_delay_cycles: m.mitigation_delay_cycles.get(),
-            swap_busy_cycles: m.swap_busy_cycles.get(),
-            epochs_completed: m.epochs_completed.get(),
-            epoch_swap_history: m.epoch_swap_history.values(),
-            epoch_hot_row_history: m
-                .epoch_hot_row_history
-                .values()
-                .into_iter()
-                .map(|v| v as usize)
-                .collect(),
-        }
+        self.metrics.snapshot()
     }
 
     /// The fault model (read access).

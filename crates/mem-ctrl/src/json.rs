@@ -1,66 +1,15 @@
-//! JSON conversions for [`ControllerStats`], the per-run statistics block
-//! embedded in serialized campaign results. Field order is fixed
-//! (declaration order) for byte-identical re-serialization.
-
-use rrs_json::{FromJson, Json, JsonError, ToJson};
-
-use crate::controller::ControllerStats;
-
-impl ToJson for ControllerStats {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("reads".into(), Json::u64(self.reads)),
-            ("writes".into(), Json::u64(self.writes)),
-            ("activations".into(), Json::u64(self.activations)),
-            ("row_hits".into(), Json::u64(self.row_hits)),
-            ("swaps".into(), Json::u64(self.swaps)),
-            ("unswaps".into(), Json::u64(self.unswaps)),
-            (
-                "targeted_refreshes".into(),
-                Json::u64(self.targeted_refreshes),
-            ),
-            ("full_refreshes".into(), Json::u64(self.full_refreshes)),
-            (
-                "mitigation_delay_cycles".into(),
-                Json::u64(self.mitigation_delay_cycles),
-            ),
-            ("swap_busy_cycles".into(), Json::u64(self.swap_busy_cycles)),
-            ("epochs_completed".into(), Json::u64(self.epochs_completed)),
-            (
-                "epoch_swap_history".into(),
-                self.epoch_swap_history.to_json(),
-            ),
-            (
-                "epoch_hot_row_history".into(),
-                self.epoch_hot_row_history.to_json(),
-            ),
-        ])
-    }
-}
-
-impl FromJson for ControllerStats {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(ControllerStats {
-            reads: u64::from_json(json.field("reads")?)?,
-            writes: u64::from_json(json.field("writes")?)?,
-            activations: u64::from_json(json.field("activations")?)?,
-            row_hits: u64::from_json(json.field("row_hits")?)?,
-            swaps: u64::from_json(json.field("swaps")?)?,
-            unswaps: u64::from_json(json.field("unswaps")?)?,
-            targeted_refreshes: u64::from_json(json.field("targeted_refreshes")?)?,
-            full_refreshes: u64::from_json(json.field("full_refreshes")?)?,
-            mitigation_delay_cycles: u64::from_json(json.field("mitigation_delay_cycles")?)?,
-            swap_busy_cycles: u64::from_json(json.field("swap_busy_cycles")?)?,
-            epochs_completed: u64::from_json(json.field("epochs_completed")?)?,
-            epoch_swap_history: Vec::from_json(json.field("epoch_swap_history")?)?,
-            epoch_hot_row_history: Vec::from_json(json.field("epoch_hot_row_history")?)?,
-        })
-    }
-}
+//! The JSON round trip of [`ControllerStats`], the per-run statistics
+//! block embedded in serialized campaign results. The conversions are
+//! generated from the controller's statistics table; field order is fixed
+//! (table order) for byte-identical re-serialization.
+//!
+//! [`ControllerStats`]: crate::controller::ControllerStats
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use rrs_json::{FromJson, ToJson};
+
+    use crate::controller::ControllerStats;
 
     #[test]
     fn controller_stats_round_trip() {

@@ -44,9 +44,10 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use rrs_core::rng::mix_seed;
+use rrs_forensics::{saved_trace, ExposureConfig, ExposureReport};
 use rrs_json::{FromJson, Json, ToJson};
 use rrs_sim::SimResult;
-use rrs_telemetry::Telemetry;
+use rrs_telemetry::{Telemetry, DEFAULT_TRACE_CAPACITY};
 use rrs_workloads::attacks::AttackKind;
 use rrs_workloads::catalog::Workload;
 
@@ -148,11 +149,9 @@ pub struct RunOptions {
     pub force: bool,
     /// Suppress the per-cell progress lines on stderr.
     pub quiet: bool,
-    /// Capture per-cell telemetry: each cell runs on a tracing spine, its
-    /// counters and event-trace summary land in [`CellOutcome::telemetry`],
-    /// and with [`RunOptions::out_dir`] set the JSON-lines trace is written
-    /// to `<id>.trace.jsonl`. Tracing implies a fresh simulation — cached
-    /// result files are ignored (they carry no telemetry).
+    /// With [`RunOptions::out_dir`] set, trace each cell: write its saved
+    /// trace (`<id>.trace.jsonl`) and exposure report (`<id>.forensics.json`)
+    /// beside `<id>.json`. Tracing skips the cache, which holds no traces.
     pub trace: bool,
 }
 
@@ -177,7 +176,7 @@ impl RunOptions {
         self
     }
 
-    /// Enables per-cell telemetry capture (see [`RunOptions::trace`]).
+    /// Enables per-cell tracing (see [`RunOptions::trace`]).
     pub fn with_trace(mut self) -> Self {
         self.trace = true;
         self
@@ -343,27 +342,9 @@ pub struct CellOutcome {
     pub from_cache: bool,
     /// Wall-clock seconds spent on this cell (load or simulate).
     pub seconds: f64,
-    /// Telemetry captured for this cell (only with [`RunOptions::trace`]).
-    pub telemetry: Option<CellTelemetry>,
     /// Why the cell's files could not be written to
     /// [`RunOptions::out_dir`]; the result above is still valid.
     pub write_error: Option<String>,
-}
-
-/// Telemetry captured for one traced cell: the registry counters plus the
-/// event-trace summary and JSON-lines export.
-#[derive(Debug, Clone)]
-pub struct CellTelemetry {
-    /// Every registered counter's final value, in registration order.
-    pub counters: Vec<(String, u64)>,
-    /// Events the trace recorder observed.
-    pub events_recorded: u64,
-    /// Events evicted once the bounded ring filled (oldest first).
-    pub events_dropped: u64,
-    /// Retained event counts per kind.
-    pub kind_counts: Vec<(&'static str, u64)>,
-    /// The retained event window as JSON lines.
-    pub trace_jsonl: String,
 }
 
 /// Results of [`Campaign::run`], indexed like the campaign's cells.
@@ -412,42 +393,6 @@ impl CampaignRun {
             .filter_map(|o| Some(format!("{}: {}", o.id, o.write_error.as_ref()?)))
             .collect()
     }
-
-    /// Campaign-wide telemetry counters: each counter name summed across
-    /// every traced cell, in first-seen order. Empty unless the run used
-    /// [`RunOptions::trace`].
-    pub fn merged_counters(&self) -> Vec<(String, u64)> {
-        let mut order: Vec<String> = Vec::new();
-        let mut totals: BTreeMap<String, u64> = BTreeMap::new();
-        for outcome in &self.outcomes {
-            let Some(tel) = &outcome.telemetry else {
-                continue;
-            };
-            for (name, value) in &tel.counters {
-                if !totals.contains_key(name) {
-                    order.push(name.clone());
-                }
-                *totals.entry(name.clone()).or_insert(0) += value;
-            }
-        }
-        order
-            .into_iter()
-            .map(|name| {
-                let v = totals.get(&name).copied().unwrap_or(0);
-                (name, v)
-            })
-            .collect()
-    }
-
-    /// Total events recorded (and dropped) across every traced cell.
-    pub fn merged_event_totals(&self) -> (u64, u64) {
-        self.outcomes
-            .iter()
-            .filter_map(|o| o.telemetry.as_ref())
-            .fold((0, 0), |(r, d), t| {
-                (r + t.events_recorded, d + t.events_dropped)
-            })
-    }
 }
 
 /// Executes (or cache-loads) one cell according to `opts`.
@@ -456,12 +401,13 @@ fn run_cell(cell: &Cell, opts: &RunOptions) -> CellOutcome {
     let start = Instant::now();
     let path = opts.out_dir.as_ref().map(|d| d.join(format!("{id}.json")));
 
-    // Cached results carry no telemetry, so a tracing run always simulates.
+    // Cached results carry no trace, so a tracing run always simulates.
     // A corrupt or stale-schema file falls through to a fresh simulation
     // (which then overwrites it).
+    let trace_dir = opts.out_dir.as_ref().filter(|_| opts.trace);
     let cached = path
         .as_ref()
-        .filter(|_| !opts.force && !opts.trace)
+        .filter(|_| !opts.force && trace_dir.is_none())
         .and_then(|path| std::fs::read_to_string(path).ok())
         .and_then(|text| SimResult::from_json(&Json::parse(&text).ok()?).ok());
     if let Some(result) = cached {
@@ -470,41 +416,28 @@ fn run_cell(cell: &Cell, opts: &RunOptions) -> CellOutcome {
             result,
             from_cache: true,
             seconds: start.elapsed().as_secs_f64(),
-            telemetry: None,
             write_error: None,
         };
     }
 
-    let spine = if opts.trace {
-        Telemetry::with_trace(rrs_telemetry::DEFAULT_TRACE_CAPACITY)
-    } else {
-        Telemetry::new()
+    let spine = match trace_dir {
+        Some(_) => Telemetry::with_trace(DEFAULT_TRACE_CAPACITY),
+        None => Telemetry::new(),
     };
     let result = cell.prepare().run(&spine);
-    let telemetry = opts.trace.then(|| CellTelemetry {
-        counters: spine.counters(),
-        events_recorded: spine.events_recorded(),
-        events_dropped: spine.events_dropped(),
-        kind_counts: spine.event_kind_counts(),
-        trace_jsonl: spine.trace_jsonl().unwrap_or_default(),
-    });
     let mut written = Ok(());
-    if let (Some(captured), Some(dir)) = (&telemetry, &opts.out_dir) {
+    if let Some(dir) = trace_dir {
         // Exposure forensics ride along with every traced cell: judge the
         // trace against the cell's own T_RRS (whatever defense ran, so an
         // undefended cell shows a failing verdict).
-        let t_rrs = (cell.config.t_rh() / rrs_core::DEFAULT_K).max(1);
-        let report = rrs_forensics::ExposureReport::reconstruct(
+        let report = ExposureReport::reconstruct(
             &spine.events(),
-            rrs_forensics::ExposureConfig {
-                swap_threshold: t_rrs,
-                slack: t_rrs,
-            },
-            spine.events_dropped(),
+            ExposureConfig::at_threshold(cell.config.t_rrs()),
+            Some(spine.events_dropped()),
         );
         let trace_path = dir.join(format!("{id}.trace.jsonl"));
         let forensics_path = dir.join(format!("{id}.forensics.json"));
-        written = write_file(&trace_path, &captured.trace_jsonl)
+        written = write_file(&trace_path, &saved_trace(&spine, DEFAULT_TRACE_CAPACITY))
             .and_then(|()| write_file(&forensics_path, &report.to_json().to_string_pretty()));
     }
     // The first failed write stops the cell's remaining writes (they all
@@ -520,7 +453,6 @@ fn run_cell(cell: &Cell, opts: &RunOptions) -> CellOutcome {
         result,
         from_cache: false,
         seconds: start.elapsed().as_secs_f64(),
-        telemetry,
         write_error,
     }
 }

@@ -126,6 +126,12 @@ impl ExperimentConfig {
         (self.full_scale_t_rh / self.scale).max(rrs_core::DEFAULT_K)
     }
 
+    /// The scaled RRS swap threshold `T_RRS = T_RH / k`; at least 1,
+    /// because [`ExperimentConfig::t_rh`] is never below `k`.
+    pub fn t_rrs(&self) -> u64 {
+        self.t_rh() / rrs_core::DEFAULT_K
+    }
+
     /// The scaled device timing.
     pub fn timing(&self) -> TimingParams {
         TimingParams::ddr4_3200().with_epoch_scale(self.scale)
@@ -228,9 +234,7 @@ impl ExperimentConfig {
     /// The swap-chasing attack tuned to this configuration's `T_RRS`
     /// (the §5.3 optimal strategy).
     pub fn swap_chasing_attack(&self) -> AttackKind {
-        AttackKind::SwapChasing {
-            t: (self.t_rh() / rrs_core::DEFAULT_K).max(1),
-        }
+        AttackKind::SwapChasing { t: self.t_rrs() }
     }
 }
 

@@ -53,9 +53,11 @@ pub use metrics::{
 };
 pub use probe::{NullProbe, Probe, TraceRecorder};
 
-/// Default ring-buffer capacity for [`Telemetry::with_trace`]: large enough
-/// for a smoke-scale run's full event stream, bounded for anything bigger.
-pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
+/// Default ring-buffer capacity for [`Telemetry::with_trace`] (1 Mi
+/// events): LLC hit/miss events dominate traced runs, so a smaller ring
+/// truncates most attack traces before a whole epoch fits. Larger runs
+/// still drop their oldest events, and the recorder counts the drops.
+pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
 struct Shared {
     /// Fast-path gate: false means `emit` returns before constructing any

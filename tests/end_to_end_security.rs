@@ -115,8 +115,7 @@ fn rrs_swaps_under_attack_but_not_excessively() {
     assert!(swaps > 0, "hammering must trigger swaps");
     // Invariant: at most one swap per T_RRS activations (plus swap-stream
     // activations, which never feed the tracker).
-    let t_rrs = c.t_rh() / rrs::core::DEFAULT_K;
-    let bound = outcome.result.stats.activations / t_rrs + 1;
+    let bound = outcome.result.stats.activations / c.t_rrs() + 1;
     assert!(
         swaps <= bound,
         "swaps {swaps} exceed ACTs/T_RRS bound {bound}"
