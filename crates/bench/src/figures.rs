@@ -184,7 +184,7 @@ fn table2(_: &FigureArgs, out: &mut Output) {
         ("Fetch and Retire width", c.fetch_width.to_string()),
         (
             "Last Level Cache (Shared)",
-            "8MB, 16-Way, 64B lines (optional: traces are post-cache)".to_string(),
+            "8MB, 16-Way, 64B lines (not simulated: traces are post-cache)".to_string(),
         ),
         (
             "Memory size",

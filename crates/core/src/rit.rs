@@ -488,35 +488,12 @@ impl RowIndirectionTable {
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.forward.iter().map(|(l, e)| (l, e.physical))
     }
-
-    /// Verifies internal invariants; used by tests and debug assertions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the forward and reverse maps are inconsistent, if any
-    /// identity mapping is stored, or if the permutation is not injective.
-    pub fn check_invariants(&self) {
-        assert_eq!(self.forward.len(), self.reverse.len(), "map sizes differ");
-        let mut seen_phys = std::collections::BTreeSet::new();
-        for (logical, e) in self.forward.iter() {
-            assert_ne!(logical, e.physical, "identity mapping stored");
-            assert!(
-                seen_phys.insert(e.physical),
-                "physical row {} claimed twice",
-                e.physical
-            );
-            assert_eq!(
-                self.reverse.get(e.physical),
-                Some(&logical),
-                "reverse map out of sync for logical {logical}"
-            );
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::audit::RitAudit;
 
     fn rit(cap: usize) -> RowIndirectionTable {
         RowIndirectionTable::new(cap, 0xABCD)
@@ -540,7 +517,7 @@ mod tests {
         assert_eq!(r.occupant(10), 20);
         assert_eq!(r.occupant(20), 10);
         assert_eq!(r.tuples_in_use(), 2);
-        r.check_invariants();
+        RitAudit::verify(&r).unwrap();
         Ok(())
     }
 
@@ -556,7 +533,7 @@ mod tests {
         assert_eq!(r.resolve(1), 3);
         assert_eq!(r.resolve(3), 2);
         assert_eq!(r.resolve(2), 1);
-        r.check_invariants();
+        RitAudit::verify(&r).unwrap();
         Ok(())
     }
 
@@ -567,7 +544,7 @@ mod tests {
         r.swap(1, 2)?; // swap back
         assert_eq!(r.tuples_in_use(), 0);
         assert_eq!(r.resolve(1), 1);
-        r.check_invariants();
+        RitAudit::verify(&r).unwrap();
         Ok(())
     }
 
@@ -609,10 +586,10 @@ mod tests {
         // Un-swap restored someone home: two tuples disappear (pairwise).
         assert_eq!(r.tuples_in_use(), 2);
         assert!(ps.row_a != ps.row_b);
-        r.check_invariants();
+        RitAudit::verify(&r).unwrap();
         // Now there is room for a new swap.
         r.swap(5, 6)?;
-        r.check_invariants();
+        RitAudit::verify(&r).unwrap();
         Ok(())
     }
 
@@ -624,7 +601,7 @@ mod tests {
         r.end_epoch();
         r.unswap(1)?; // 1 home; occupant of 1 (=2) moves to 3's old spot
         assert_eq!(r.resolve(1), 1);
-        r.check_invariants();
+        RitAudit::verify(&r).unwrap();
         // All rows resolvable, permutation still injective.
         let mapped: Vec<_> = r.iter().collect();
         assert_eq!(mapped.len(), 2);
@@ -678,9 +655,9 @@ mod tests {
             }
             let _ = r.swap(a, b);
             if i % 50 == 0 {
-                r.check_invariants();
+                RitAudit::verify(&r).unwrap();
             }
         }
-        r.check_invariants();
+        RitAudit::verify(&r).unwrap();
     }
 }

@@ -516,7 +516,7 @@ mod tests {
         for (logical, physical) in b.rit().iter().collect::<Vec<_>>() {
             assert_ne!(logical, physical);
         }
-        b.rit().check_invariants();
+        crate::audit::RitAudit::verify(b.rit()).unwrap();
     }
 
     #[test]

@@ -9,6 +9,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rrs_check::{check, Gen};
+use rrs_core::audit::RitAudit;
 use rrs_core::cat::{Cat, CatConfig, SetIndexMemo};
 use rrs_core::rit::RowIndirectionTable;
 use rrs_core::tracker::{CamTracker, CatTracker, HotRowTracker, TrackerConfig};
@@ -98,7 +99,7 @@ fn rit_tlb_matches_uncached_resolution() {
                 assert_eq!(rit.occupant(probe), rit.occupant_uncached(probe));
             }
         }
-        rit.check_invariants();
+        RitAudit::verify(&rit).unwrap();
 
         // Counter identity: every cached call lands in exactly one of
         // hits/misses (mutations above also consult the cached path, so

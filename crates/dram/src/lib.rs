@@ -43,7 +43,6 @@ pub mod command;
 pub mod error;
 pub mod geometry;
 pub mod hammer;
-pub mod idd;
 pub mod json;
 pub mod power;
 pub mod timing;
@@ -53,6 +52,5 @@ pub use command::{CommandCounts, DramCommand};
 pub use error::DramError;
 pub use geometry::{BankId, ChannelId, DramGeometry, RankId, RowAddr, RowId};
 pub use hammer::{BitFlip, HammerConfig, HammerModel};
-pub use idd::{IddCurrents, IddPowerModel, IddReport};
 pub use power::{DramPowerModel, PowerReport};
 pub use timing::{Cycle, TimingParams};

@@ -283,67 +283,6 @@ impl<V> FlatMap<V> {
     }
 }
 
-/// A deterministic set of `u64` keys over the same open-addressing layout.
-///
-/// # Example
-///
-/// ```
-/// use rrs_flat::FlatSet;
-///
-/// let mut s = FlatSet::new();
-/// assert!(s.insert(3));
-/// assert!(!s.insert(3), "second insert reports already-present");
-/// assert!(s.contains(3));
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct FlatSet {
-    map: FlatMap<()>,
-}
-
-impl FlatSet {
-    /// Creates an empty set.
-    pub fn new() -> Self {
-        FlatSet {
-            map: FlatMap::new(),
-        }
-    }
-
-    /// Inserts `key`; returns `true` if it was newly added.
-    pub fn insert(&mut self, key: u64) -> bool {
-        self.map.insert(key, ()).is_none()
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: u64) -> bool {
-        self.map.contains_key(key)
-    }
-
-    /// Removes `key`; returns `true` if it was present.
-    pub fn remove(&mut self, key: u64) -> bool {
-        self.map.remove(key).is_some()
-    }
-
-    /// Number of keys.
-    pub fn len(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Whether the set is empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Removes every key, keeping the allocation.
-    pub fn clear(&mut self) {
-        self.map.clear();
-    }
-
-    /// Iterates over keys in slot order (deterministic, hash-shaped).
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        self.map.iter().map(|(k, _)| k)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -477,20 +416,5 @@ mod tests {
         for k in [0u64, 1, u64::MAX, u64::MAX - 1, 1 << 63] {
             assert_eq!(m.get(k), Some(&k));
         }
-    }
-
-    #[test]
-    fn set_wraps_map() {
-        let mut s = FlatSet::new();
-        assert!(s.insert(5));
-        assert!(!s.insert(5));
-        assert!(s.contains(5));
-        assert_eq!(s.len(), 1);
-        assert!(s.remove(5));
-        assert!(!s.remove(5));
-        assert!(s.is_empty());
-        s.insert(1);
-        s.clear();
-        assert!(s.is_empty());
     }
 }

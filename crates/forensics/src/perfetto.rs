@@ -16,8 +16,7 @@
 //! Timestamps are **simulated DRAM cycles**, exported verbatim in the
 //! `ts`/`dur` fields (the format nominally wants µs; for a deterministic
 //! simulator the raw cycle axis is the honest one, and Perfetto only uses
-//! it as an ordinal scale). LLC hits/misses are skipped: at one instant
-//! per access they bury every other track.
+//! it as an ordinal scale).
 //!
 //! Output is byte-deterministic for a given event sequence — a golden
 //! test pins the bytes of a blessed trace.
@@ -260,7 +259,6 @@ pub fn export_trace(events: &[Event], opts: &ExportOptions) -> String {
                     vec![arg("queued", queued)],
                 ));
             }
-            Event::LlcHit { .. } | Event::LlcMiss { .. } => {}
         }
     }
 
@@ -326,7 +324,6 @@ mod tests {
                 row_a: 10,
                 row_b: 900,
             },
-            Event::LlcHit { at: 2, addr: 64 },
         ]
     }
 
@@ -364,10 +361,9 @@ mod tests {
     }
 
     #[test]
-    fn activations_are_gated_and_llc_skipped() {
+    fn activations_are_gated() {
         let quiet = export_trace(&sample_events(), &ExportOptions::default());
         assert!(!quiet.contains("\"act\""));
-        assert!(!quiet.contains("llc"));
         let loud = export_trace(&sample_events(), &ExportOptions { activations: true });
         assert!(loud.contains("\"act\""));
     }

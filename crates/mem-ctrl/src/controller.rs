@@ -225,7 +225,7 @@ pub struct MemoryController {
 
 impl MemoryController {
     /// Creates a controller driving `mitigation`, with a private telemetry
-    /// spine (metrics only, no event probes).
+    /// spine (metrics only, no event recorder).
     pub fn new(config: ControllerConfig, mitigation: Box<dyn Mitigation>) -> Self {
         Self::with_telemetry(config, mitigation, Telemetry::new())
     }

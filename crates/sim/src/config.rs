@@ -2,8 +2,6 @@
 
 use rrs_mem_ctrl::controller::ControllerConfig;
 
-use crate::llc::LlcConfig;
-
 /// Full-system configuration for a simulation run.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
@@ -17,10 +15,6 @@ pub struct SystemConfig {
     pub max_outstanding: usize,
     /// Memory-controller / DRAM configuration.
     pub controller: ControllerConfig,
-    /// Shared LLC. `None` means traces are already cache-filtered (USIMM
-    /// style); attack traces typically run with `None` as well because
-    /// attackers flush or bypass caches.
-    pub llc: Option<LlcConfig>,
     /// Instructions each core must retire for the run to complete.
     pub instructions_per_core: u64,
     /// Trace records a core issues back-to-back before other cores
@@ -40,7 +34,6 @@ impl SystemConfig {
             fetch_width: 4,
             max_outstanding: 10,
             controller: ControllerConfig::asplos22_baseline(),
-            llc: None,
             instructions_per_core,
             core_burst: 16,
         }
@@ -53,7 +46,6 @@ impl SystemConfig {
             fetch_width: 4,
             max_outstanding: 8,
             controller: ControllerConfig::test_config(),
-            llc: None,
             instructions_per_core,
             core_burst: 16,
         }
@@ -62,12 +54,6 @@ impl SystemConfig {
     /// Replaces the controller configuration.
     pub fn with_controller(mut self, controller: ControllerConfig) -> Self {
         self.controller = controller;
-        self
-    }
-
-    /// Enables the shared LLC.
-    pub fn with_llc(mut self, llc: LlcConfig) -> Self {
-        self.llc = Some(llc);
         self
     }
 }
@@ -83,12 +69,13 @@ mod tests {
         assert_eq!(c.fetch_width, 4);
         assert_eq!(c.max_outstanding, 10);
         assert_eq!(c.controller.geometry.channels, 2);
-        assert!(c.llc.is_none());
     }
 
     #[test]
     fn builders_compose() {
-        let c = SystemConfig::test_config(100).with_llc(LlcConfig::tiny_test());
-        assert!(c.llc.is_some());
+        let c =
+            SystemConfig::test_config(100).with_controller(ControllerConfig::asplos22_baseline());
+        assert_eq!(c.controller.geometry.channels, 2);
+        assert_eq!(c.instructions_per_core, 100);
     }
 }

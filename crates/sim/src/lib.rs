@@ -3,9 +3,13 @@
 //! Trace-driven multi-core memory-system simulator (the USIMM substitute).
 //!
 //! * [`trace`] — the trace-record interface between generators and cores,
-//! * [`llc`] — the shared last-level cache (Table 2: 8 MB / 16-way),
 //! * [`config`] — full-system configuration,
 //! * [`runner`] — the simulation loop and [`SimResult`].
+//!
+//! Traces are post-LLC: the workload generators emit the cache-filtered
+//! traffic the paper's USIMM traces carry (Table 3 MPKI), so each trace
+//! record is one memory-controller access. The paper's shared LLC
+//! (Table 2) is not simulated.
 //!
 //! # Example
 //!
@@ -28,13 +32,9 @@
 //! ```
 
 pub mod config;
-pub mod latency;
-pub mod llc;
 pub mod runner;
 pub mod trace;
 
 pub use config::SystemConfig;
-pub use latency::LatencyStats;
-pub use llc::{Llc, LlcConfig};
 pub use runner::{run, run_probed, SimResult};
 pub use trace::{TraceRecord, TraceSource};

@@ -17,11 +17,9 @@ use rrs_dram::power::{DramPowerModel, PowerReport};
 use rrs_dram::timing::Cycle;
 use rrs_mem_ctrl::controller::{ControllerStats, MemoryController};
 use rrs_mem_ctrl::mitigation::Mitigation;
-use rrs_telemetry::Telemetry;
+use rrs_telemetry::{HistogramSnapshot, Telemetry};
 
 use crate::config::SystemConfig;
-use crate::latency::LatencyStats;
-use crate::llc::Llc;
 use crate::trace::TraceSource;
 
 /// Results of one simulation run.
@@ -43,10 +41,9 @@ pub struct SimResult {
     pub bit_flips: Vec<BitFlip>,
     /// Aggregate DRAM command counts.
     pub command_counts: CommandCounts,
-    /// LLC hit rate, when an LLC was configured.
-    pub llc_hit_rate: Option<f64>,
-    /// Read-latency distribution (request to data, in cycles).
-    pub read_latency: LatencyStats,
+    /// Read-latency distribution (request to data, in cycles): the
+    /// registry's `sim.read_latency` histogram at the end of the run.
+    pub read_latency: HistogramSnapshot,
 }
 
 impl SimResult {
@@ -154,7 +151,6 @@ impl rrs_json::ToJson for SimResult {
             ("stats".into(), self.stats.to_json()),
             ("bit_flips".into(), self.bit_flips.to_json()),
             ("command_counts".into(), self.command_counts.to_json()),
-            ("llc_hit_rate".into(), self.llc_hit_rate.to_json()),
             ("read_latency".into(), self.read_latency.to_json()),
         ])
     }
@@ -171,8 +167,7 @@ impl rrs_json::FromJson for SimResult {
             stats: ControllerStats::from_json(json.field("stats")?)?,
             bit_flips: Vec::from_json(json.field("bit_flips")?)?,
             command_counts: CommandCounts::from_json(json.field("command_counts")?)?,
-            llc_hit_rate: Option::from_json(json.field("llc_hit_rate")?)?,
-            read_latency: LatencyStats::from_json(json.field("read_latency")?)?,
+            read_latency: HistogramSnapshot::from_json(json.field("read_latency")?)?,
         })
     }
 }
@@ -188,7 +183,7 @@ struct CoreState {
 ///
 /// Equivalent to [`run_probed`] with a fresh, disabled telemetry spine:
 /// all accounting still flows through registry counters, but no events
-/// are recorded and no probes fire.
+/// are recorded.
 ///
 /// # Panics
 ///
@@ -210,9 +205,9 @@ pub fn run(
 
 /// Runs one simulation with every layer publishing onto `telemetry`.
 ///
-/// The controller, scheduler-equivalent access path, LLC, and the runner's
-/// own read-latency histogram all register on the shared spine; when the
-/// spine is tracing (a recorder or probe is attached), structured
+/// The controller, scheduler-equivalent access path and the runner's own
+/// read-latency histogram all register on the shared spine; when the
+/// spine is tracing (a recorder is attached), structured
 /// [`rrs_telemetry::Event`]s stream out as the simulation executes. The
 /// caller keeps the handle, so after this returns it can export
 /// `telemetry.snapshot_json()` or `telemetry.trace_jsonl()`.
@@ -239,9 +234,6 @@ pub fn run_probed(
     let mut mc =
         MemoryController::with_telemetry(config.controller.clone(), mitigation, telemetry.clone());
     let mitigation_name = mc.mitigation_name().to_string();
-    let mut llc = config
-        .llc
-        .map(|c| Llc::with_telemetry(c, telemetry.clone()));
 
     let mut cores: Vec<CoreState> = (0..config.cores)
         .map(|_| CoreState {
@@ -271,37 +263,14 @@ pub fn run_probed(
             // Retire the gap at fetch width.
             core.time += (rec.gap as u64).div_ceil(config.fetch_width as u64);
 
-            // Cache filter (if configured). A record produces at most two
-            // DRAM accesses (demand miss + dirty write-back), so a fixed
-            // slot pair avoids a per-record heap allocation on the hot path.
-            let mut to_dram = [(rec.addr, rec.is_write), (0, false)];
-            let mut n_dram = 1;
-            if let Some(llc) = llc.as_mut() {
-                if telemetry.tracing() {
-                    telemetry.set_now(core.time);
-                }
-                let out = llc.access(rec.addr, rec.is_write);
-                n_dram = 0;
-                if out.hit {
-                    core.time += llc.config().hit_latency;
-                } else {
-                    n_dram = 1;
-                    if let Some(wb) = out.writeback {
-                        to_dram[1] = (wb, true);
-                        n_dram = 2;
-                    }
-                }
-            }
-
-            for &(addr, is_write) in to_dram.iter().take(n_dram) {
-                let done = mc.access(addr, is_write, core.time);
-                if !is_write {
-                    read_latency.record(done.saturating_sub(core.time).max(1));
-                    core.outstanding.push_back(done);
-                    if core.outstanding.len() >= config.max_outstanding {
-                        if let Some(oldest) = core.outstanding.pop_front() {
-                            core.time = core.time.max(oldest);
-                        }
+            // Traces are post-LLC: every record is one DRAM access.
+            let done = mc.access(rec.addr, rec.is_write, core.time);
+            if !rec.is_write {
+                read_latency.record(done.saturating_sub(core.time).max(1));
+                core.outstanding.push_back(done);
+                if core.outstanding.len() >= config.max_outstanding {
+                    if let Some(oldest) = core.outstanding.pop_front() {
+                        core.time = core.time.max(oldest);
                     }
                 }
             }
@@ -343,7 +312,6 @@ pub fn run_probed(
     // run's counters and histograms for inspection after `run_probed`
     // returns. Reusing one spine across runs therefore accumulates; pass
     // a fresh spine per run to keep observations separable.
-    let latency = read_latency.snapshot();
     SimResult {
         workload: workload_name.to_string(),
         mitigation: mitigation_name,
@@ -353,13 +321,7 @@ pub fn run_probed(
         stats: mc.stats(),
         bit_flips,
         command_counts,
-        llc_hit_rate: llc.map(|l| l.hit_rate()),
-        read_latency: LatencyStats::from_parts(
-            latency.buckets,
-            latency.count,
-            latency.sum,
-            latency.max,
-        ),
+        read_latency: read_latency.snapshot(),
     }
 }
 
@@ -418,22 +380,6 @@ mod tests {
             r.core_ipc[0],
             r.core_ipc[1]
         );
-    }
-
-    #[test]
-    fn llc_filters_dram_traffic() {
-        let mut config = SystemConfig::test_config(5_000);
-        config.llc = Some(crate::llc::LlcConfig::tiny_test());
-        config.cores = 1;
-        // A tiny working set fits in the LLC: almost no DRAM traffic.
-        let mut i = 0u64;
-        let src = Box::new(move || {
-            i += 1;
-            TraceRecord::read(10, (i % 16) * 64)
-        }) as Box<dyn TraceSource>;
-        let r = run(&config, Box::new(NoMitigation::new()), vec![src], "cached");
-        assert!(r.llc_hit_rate.unwrap() > 0.9);
-        assert!(r.stats.reads < 100);
     }
 
     #[test]
@@ -503,8 +449,7 @@ mod tests {
             stats: Default::default(),
             bit_flips: vec![],
             command_counts: Default::default(),
-            llc_hit_rate: None,
-            read_latency: LatencyStats::new(),
+            read_latency: HistogramSnapshot::default(),
         }
     }
 

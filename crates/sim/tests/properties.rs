@@ -1,71 +1,21 @@
-//! Property-based tests for the simulator layer: the LLC against a
-//! reference model, the latency histogram against an exact quantile
-//! reference, and determinism of the multi-core runner.
+//! Property-based tests for the simulator layer: the read-latency
+//! histogram against an exact quantile reference, and determinism of the
+//! multi-core runner.
 
 use rrs_check::check;
 use rrs_mem_ctrl::mitigation::NoMitigation;
 use rrs_sim::config::SystemConfig;
-use rrs_sim::latency::LatencyStats;
-use rrs_sim::llc::{Llc, LlcConfig};
 use rrs_sim::runner::run;
 use rrs_sim::trace::{TraceRecord, TraceSource};
+use rrs_telemetry::{Histogram, HistogramSnapshot};
 
-/// Reference cache model: per-set vectors with explicit LRU ordering.
-struct RefCache {
-    sets: usize,
-    ways: usize,
-    line: u64,
-    /// Per set: most-recent-first (tag, dirty).
-    data: Vec<Vec<(u64, bool)>>,
-}
-
-impl RefCache {
-    fn new(cfg: LlcConfig) -> Self {
-        RefCache {
-            sets: cfg.sets(),
-            ways: cfg.ways,
-            line: cfg.line_bytes as u64,
-            data: vec![Vec::new(); cfg.sets()],
-        }
+/// The snapshot of a registry histogram fed `samples`.
+fn recorded(samples: &[u64]) -> HistogramSnapshot {
+    let h = Histogram::default();
+    for &v in samples {
+        h.record(v);
     }
-
-    fn access(&mut self, addr: u64, is_write: bool) -> (bool, Option<u64>) {
-        let lineno = addr / self.line;
-        let set = (lineno as usize) % self.sets;
-        let tag = lineno / self.sets as u64;
-        let ways = &mut self.data[set];
-        if let Some(pos) = ways.iter().position(|(t, _)| *t == tag) {
-            let (t, d) = ways.remove(pos);
-            ways.insert(0, (t, d || is_write));
-            return (true, None);
-        }
-        ways.insert(0, (tag, is_write));
-        let wb = if ways.len() > self.ways {
-            let (vt, vd) = ways.pop().expect("overflow entry");
-            vd.then(|| (vt * self.sets as u64 + set as u64) * self.line)
-        } else {
-            None
-        };
-        (false, wb)
-    }
-}
-
-/// The LLC agrees with the reference LRU model on hits and write-backs
-/// for arbitrary access streams.
-#[test]
-fn llc_matches_reference_model() {
-    check(|g| {
-        let accesses = g.vec(1..400, |g| (g.u64_in(0..(1 << 16)), g.bool()));
-        let cfg = LlcConfig::tiny_test();
-        let mut llc = Llc::new(cfg);
-        let mut reference = RefCache::new(cfg);
-        for (addr, is_write) in accesses {
-            let got = llc.access(addr, is_write);
-            let (hit, wb) = reference.access(addr, is_write);
-            assert_eq!(got.hit, hit, "hit mismatch at {:#x}", addr);
-            assert_eq!(got.writeback, wb, "writeback mismatch at {:#x}", addr);
-        }
-    });
+    h.snapshot()
 }
 
 /// The multi-core runner is deterministic: identical configurations
@@ -120,10 +70,7 @@ fn quantile_matches_exact_reference_within_bucket_bound() {
         // bucket upper edge; the saturated-top-bucket path is covered by
         // the dedicated case below.
         let samples = g.vec(1..500, |g| g.u64_in(1..(1 << 38)));
-        let mut h = LatencyStats::new();
-        for &v in &samples {
-            h.record(v);
-        }
+        let h = recorded(&samples);
         let mut sorted = samples.clone();
         sorted.sort_unstable();
         for &q in &[0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0] {
@@ -151,10 +98,7 @@ fn quantile_matches_exact_reference_within_bucket_bound() {
 fn quantile_top_bucket_reports_exact_max() {
     check(|g| {
         let big = g.vec(1..50, |g| g.u64_in((1 << 39)..u64::MAX));
-        let mut h = LatencyStats::new();
-        for &v in &big {
-            h.record(v);
-        }
+        let h = recorded(&big);
         let max = big.iter().copied().max().unwrap();
         assert_eq!(h.quantile(0.5), max);
         assert_eq!(h.quantile(1.0), max);

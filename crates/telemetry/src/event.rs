@@ -3,8 +3,7 @@
 //! Every observable state transition in the simulated memory system is one
 //! [`Event`] variant: demand activations, row-swap lifecycle, hot-row
 //! tracker (HRT) installs and evictions, CAT cuckoo relocations, epoch
-//! rollovers, the three refresh flavours, scheduler stalls, and LLC hits
-//! and misses. Events are plain `Copy` data stamped with the emitting
+//! rollovers, the three refresh flavours and scheduler stalls. Events are plain `Copy` data stamped with the emitting
 //! component's cycle clock, and serialize to one deterministic JSON line
 //! each (`kind` first, `at` second, then payload fields).
 
@@ -115,20 +114,6 @@ pub enum Event {
         /// Total requests queued across channels at that moment.
         queued: u64,
     },
-    /// A last-level-cache hit.
-    LlcHit {
-        /// Cycle of the access (emitting component's clock).
-        at: u64,
-        /// Physical byte address.
-        addr: u64,
-    },
-    /// A last-level-cache miss.
-    LlcMiss {
-        /// Cycle of the access.
-        at: u64,
-        /// Physical byte address.
-        addr: u64,
-    },
 }
 
 impl Event {
@@ -147,8 +132,6 @@ impl Event {
             Event::TargetedRefresh { .. } => "targeted_refresh",
             Event::FullRefresh { .. } => "full_refresh",
             Event::SchedulerStall { .. } => "scheduler_stall",
-            Event::LlcHit { .. } => "llc_hit",
-            Event::LlcMiss { .. } => "llc_miss",
         }
     }
 
@@ -166,9 +149,7 @@ impl Event {
             | Event::Refresh { at }
             | Event::TargetedRefresh { at, .. }
             | Event::FullRefresh { at }
-            | Event::SchedulerStall { at, .. }
-            | Event::LlcHit { at, .. }
-            | Event::LlcMiss { at, .. } => at,
+            | Event::SchedulerStall { at, .. } => at,
         }
     }
 
@@ -210,7 +191,6 @@ impl Event {
                 push("row", row);
             }
             Event::SchedulerStall { queued, .. } => push("queued", queued),
-            Event::LlcHit { addr, .. } | Event::LlcMiss { addr, .. } => push("addr", addr),
         }
         Json::Obj(fields)
     }
@@ -286,14 +266,6 @@ impl Event {
                 at,
                 queued: field("queued")?,
             },
-            "llc_hit" => Event::LlcHit {
-                at,
-                addr: field("addr")?,
-            },
-            "llc_miss" => Event::LlcMiss {
-                at,
-                addr: field("addr")?,
-            },
             other => return Err(format!("unknown event kind {other:?}")),
         })
     }
@@ -326,7 +298,7 @@ mod tests {
         );
     }
 
-    fn one_of_each() -> [Event; 14] {
+    fn one_of_each() -> [Event; 12] {
         [
             Event::Activation {
                 at: 1,
@@ -371,8 +343,6 @@ mod tests {
             },
             Event::FullRefresh { at: 11 },
             Event::SchedulerStall { at: 12, queued: 64 },
-            Event::LlcHit { at: 13, addr: 64 },
-            Event::LlcMiss { at: 14, addr: 128 },
         ]
     }
 

@@ -1,6 +1,5 @@
 //! The telemetry spine: one deterministic observability layer shared by the
-//! memory controller, the RRS engine, the scheduler, the LLC, and the
-//! runner.
+//! memory controller, the RRS engine, the scheduler and the runner.
 //!
 //! # Architecture
 //!
@@ -9,18 +8,17 @@
 //!   sampling of every counter.
 //! * [`event`] — the structured [`Event`] vocabulary (activations, swap
 //!   lifecycle, HRT installs/evictions, CAT relocations, epoch rollovers,
-//!   refreshes, scheduler stalls, LLC hits/misses).
-//! * [`probe`] — the [`Probe`] sink trait, the discard-everything
-//!   [`NullProbe`], and the bounded [`TraceRecorder`] ring buffer with
-//!   JSON-lines export.
+//!   refreshes, scheduler stalls).
+//! * [`probe`] — the bounded [`TraceRecorder`] ring buffer, the one event
+//!   sink, with JSON-lines export.
 //!
 //! The [`Telemetry`] handle ties these together. It is a cheap `Rc` clone:
 //! every component in one simulated system shares the same spine, each
 //! holding its own clone plus the metric handles it registered. Metric
 //! updates go through [`metrics::Counter`]-style handles (a single `Cell`
 //! store — no registry lookup), and event emission is gated on
-//! [`Telemetry::tracing`], so the disabled configuration (the `NullProbe`
-//! fast path) costs one predictable branch per would-be event.
+//! [`Telemetry::tracing`], so the disabled configuration costs one
+//! predictable branch per would-be event.
 //!
 //! # Determinism contract
 //!
@@ -51,27 +49,26 @@ pub use event::Event;
 pub use metrics::{
     Counter, EpochSample, Gauge, Histogram, HistogramSnapshot, Registry, Series, HISTOGRAM_BUCKETS,
 };
-pub use probe::{NullProbe, Probe, TraceRecorder};
+pub use probe::TraceRecorder;
 
 /// Default ring-buffer capacity for [`Telemetry::with_trace`] (1 Mi
-/// events): LLC hit/miss events dominate traced runs, so a smaller ring
+/// events): activation events dominate traced runs, so a smaller ring
 /// truncates most attack traces before a whole epoch fits. Larger runs
 /// still drop their oldest events, and the recorder counts the drops.
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 20;
 
 struct Shared {
     /// Fast-path gate: false means `emit` returns before constructing any
-    /// borrow — the NullProbe configuration.
+    /// borrow (no recorder attached).
     active: Cell<bool>,
     /// A cycle clock components without their own notion of time stamp
     /// events with; the controller keeps it current while tracing.
     now: Cell<u64>,
     registry: RefCell<Registry>,
     recorder: RefCell<Option<TraceRecorder>>,
-    probes: RefCell<Vec<Box<dyn Probe>>>,
 }
 
-/// A shared handle on one telemetry spine (registry + optional probes).
+/// A shared handle on one telemetry spine (registry + optional recorder).
 ///
 /// Cloning is cheap and shares all state. See the crate docs for the
 /// architecture and the determinism contract.
@@ -81,8 +78,8 @@ pub struct Telemetry {
 }
 
 impl Telemetry {
-    /// A spine with metrics only — no trace recorder, no probes, event
-    /// emission disabled (the `NullProbe` fast path).
+    /// A spine with metrics only — no trace recorder, event emission
+    /// disabled.
     pub fn new() -> Self {
         Telemetry {
             shared: Rc::new(Shared {
@@ -90,7 +87,6 @@ impl Telemetry {
                 now: Cell::new(0),
                 registry: RefCell::new(Registry::new()),
                 recorder: RefCell::new(None),
-                probes: RefCell::new(Vec::new()),
             }),
         }
     }
@@ -102,12 +98,6 @@ impl Telemetry {
         *t.shared.recorder.borrow_mut() = Some(TraceRecorder::new(capacity));
         t.shared.active.set(true);
         t
-    }
-
-    /// Attaches an extra probe and enables event emission.
-    pub fn attach_probe(&self, probe: Box<dyn Probe>) {
-        self.shared.probes.borrow_mut().push(probe);
-        self.shared.active.set(true);
     }
 
     /// Whether events are being observed. Hot paths check this before
@@ -130,8 +120,8 @@ impl Telemetry {
         self.shared.now.get()
     }
 
-    /// Emits one event to the recorder and all attached probes. A no-op
-    /// (single branch) when [`Telemetry::tracing`] is false.
+    /// Emits one event to the recorder. A no-op (single branch) when
+    /// [`Telemetry::tracing`] is false.
     #[inline]
     pub fn emit(&self, event: Event) {
         if !self.tracing() {
@@ -143,9 +133,6 @@ impl Telemetry {
     fn emit_active(&self, event: Event) {
         if let Some(r) = self.shared.recorder.borrow_mut().as_mut() {
             r.record(event);
-        }
-        for p in self.shared.probes.borrow_mut().iter_mut() {
-            p.on_event(&event);
         }
     }
 
@@ -267,23 +254,6 @@ mod tests {
         assert_eq!(c.get(), 2);
         u.emit(Event::Refresh { at: 5 });
         assert_eq!(t.events_recorded(), 1);
-    }
-
-    #[test]
-    fn custom_probes_observe_emissions() {
-        struct CountingProbe(Rc<Cell<u64>>);
-        impl Probe for CountingProbe {
-            fn on_event(&mut self, _event: &Event) {
-                self.0.set(self.0.get() + 1);
-            }
-        }
-        let t = Telemetry::new();
-        let seen = Rc::new(Cell::new(0));
-        t.attach_probe(Box::new(CountingProbe(seen.clone())));
-        assert!(t.tracing(), "attaching a probe enables emission");
-        t.emit(Event::FullRefresh { at: 9 });
-        t.emit(Event::FullRefresh { at: 10 });
-        assert_eq!(seen.get(), 2);
     }
 
     #[test]

@@ -11,13 +11,12 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use rrs_json::Json;
+use rrs_json::{FromJson, Json, JsonError, ToJson};
 
 /// Number of log₂ buckets in a [`Histogram`]. Bucket `i` holds values whose
 /// bit length is `i` (i.e. `2^(i-1) ≤ v < 2^i`, with `v = 0` in bucket 0);
 /// values of 2^39 cycles (≈3.4 min of DDR4-3200 time) or more saturate into
-/// the last bucket. Matches `rrs-sim`'s `LatencyStats` layout exactly so a
-/// latency snapshot is a plain copy.
+/// the last bucket.
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
 /// Cap on retained epoch-aligned samples: enough for ~19 hours of simulated
@@ -103,6 +102,108 @@ impl Default for HistogramSnapshot {
             sum: 0,
             max: 0,
         }
+    }
+}
+
+impl HistogramSnapshot {
+    /// Number of samples.
+    pub fn count(&self) -> u64 {
+        self.count
+    }
+
+    /// Arithmetic mean of the samples (0 when empty).
+    pub fn mean(&self) -> f64 {
+        if self.count == 0 {
+            0.0
+        } else {
+            self.sum as f64 / self.count as f64
+        }
+    }
+
+    /// Largest sample observed.
+    pub fn max(&self) -> u64 {
+        self.max
+    }
+
+    /// Estimates the `q`-quantile (0 < q ≤ 1) as the upper edge of the
+    /// bucket containing it — a ≤2× overestimate by construction, which is
+    /// the right direction for tail-latency claims. When the quantile
+    /// lands in the saturated top bucket (samples of 2³⁹ or more, whose
+    /// upper edge is unbounded), the observed maximum is reported instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `q` is not in `(0, 1]`.
+    pub fn quantile(&self, q: f64) -> u64 {
+        assert!(q > 0.0 && q <= 1.0, "quantile out of range");
+        if self.count == 0 {
+            return 0;
+        }
+        let target = (q * self.count as f64).ceil() as u64;
+        let mut seen = 0;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= target {
+                // The last bucket holds everything that saturated the
+                // log₂ range; `(1 << i) - 1` would claim a fictitious
+                // edge, so report what was actually seen.
+                return if i == HISTOGRAM_BUCKETS - 1 {
+                    self.max
+                } else {
+                    (1 << i) - 1
+                };
+            }
+        }
+        self.max
+    }
+
+    /// Median.
+    pub fn p50(&self) -> u64 {
+        self.quantile(0.50)
+    }
+
+    /// 95th percentile.
+    pub fn p95(&self) -> u64 {
+        self.quantile(0.95)
+    }
+
+    /// 99th percentile.
+    pub fn p99(&self) -> u64 {
+        self.quantile(0.99)
+    }
+}
+
+impl ToJson for HistogramSnapshot {
+    fn to_json(&self) -> Json {
+        Json::Obj(vec![
+            (
+                "buckets".to_string(),
+                Json::Arr(self.buckets.iter().map(|&b| Json::u64(b)).collect()),
+            ),
+            ("count".to_string(), Json::u64(self.count)),
+            ("sum".to_string(), Json::u128(self.sum)),
+            ("max".to_string(), Json::u64(self.max)),
+        ])
+    }
+}
+
+impl FromJson for HistogramSnapshot {
+    /// Parses [`ToJson`]'s layout. A bucket array of any other length is
+    /// an error: cached results are outside input.
+    fn from_json(json: &Json) -> Result<Self, JsonError> {
+        let raw: Vec<u64> = Vec::from_json(json.field("buckets")?)?;
+        let buckets = <[u64; HISTOGRAM_BUCKETS]>::try_from(raw.as_slice()).map_err(|_| {
+            JsonError(format!(
+                "expected {HISTOGRAM_BUCKETS} histogram buckets, got {}",
+                raw.len()
+            ))
+        })?;
+        Ok(HistogramSnapshot {
+            buckets,
+            count: u64::from_json(json.field("count")?)?,
+            sum: u128::from_json(json.field("sum")?)?,
+            max: u64::from_json(json.field("max")?)?,
+        })
     }
 }
 
@@ -286,19 +387,7 @@ impl Registry {
         let histograms = self
             .histograms
             .iter()
-            .map(|(n, h)| {
-                let s = h.snapshot();
-                let fields = vec![
-                    (
-                        "buckets".to_string(),
-                        Json::Arr(s.buckets.iter().map(|&b| Json::u64(b)).collect()),
-                    ),
-                    ("count".to_string(), Json::u64(s.count)),
-                    ("sum".to_string(), Json::u128(s.sum)),
-                    ("max".to_string(), Json::u64(s.max)),
-                ];
-                (n.clone(), Json::Obj(fields))
-            })
+            .map(|(n, h)| (n.clone(), h.snapshot().to_json()))
             .collect();
         let series = self
             .series
@@ -385,6 +474,90 @@ mod tests {
         assert_eq!(s.count, 5);
         assert_eq!(s.max, u64::MAX);
         assert_eq!(s.sum, 6 + u64::MAX as u128);
+    }
+
+    /// A snapshot of a histogram fed `values`.
+    fn recorded(values: impl IntoIterator<Item = u64>) -> HistogramSnapshot {
+        let h = Histogram::default();
+        for v in values {
+            h.record(v);
+        }
+        h.snapshot()
+    }
+
+    #[test]
+    fn empty_histogram_is_zeroes() {
+        let h = HistogramSnapshot::default();
+        assert_eq!(h.count(), 0);
+        assert_eq!(h.mean(), 0.0);
+        assert_eq!(h.p99(), 0);
+    }
+
+    #[test]
+    fn mean_and_max_are_exact() {
+        let h = recorded([10, 20, 30, 40]);
+        assert_eq!(h.mean(), 25.0);
+        assert_eq!(h.max(), 40);
+        assert_eq!(h.count(), 4);
+    }
+
+    #[test]
+    fn quantiles_bound_true_values_within_a_bucket() {
+        let h = recorded(1..=1000);
+        // p50 of 1..=1000 is 500; bucket upper edge gives 511.
+        let p50 = h.p50();
+        assert!((500..1024).contains(&p50), "p50 = {p50}");
+        let p99 = h.p99();
+        assert!((990..2048).contains(&p99), "p99 = {p99}");
+        // Quantiles are monotone.
+        assert!(h.quantile(0.25) <= h.p50());
+        assert!(h.p50() <= h.p95());
+        assert!(h.p95() <= h.p99());
+    }
+
+    #[test]
+    fn tail_outliers_show_in_p99_not_p50() {
+        // A 1% pathological tail (throttled accesses).
+        let h = recorded((0..1000).map(|i| if i < 990 { 100 } else { 1_000_000 }));
+        assert!(h.p50() < 256);
+        assert!(h.quantile(0.999) >= 1_000_000 / 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "quantile out of range")]
+    fn zero_quantile_panics() {
+        HistogramSnapshot::default().quantile(0.0);
+    }
+
+    #[test]
+    fn saturated_top_bucket_reports_observed_max() {
+        // 1 << 50 lands in the last bucket.
+        let h = recorded([1 << 50, 1 << 45]);
+        assert_eq!(h.p50(), 1 << 50, "top-bucket quantiles are the max");
+        assert_eq!(h.p99(), 1 << 50);
+        // Quantiles below the top bucket are unaffected.
+        let h = recorded([1 << 50, 1 << 45, 100, 100, 100]);
+        assert!(h.p50() < 256);
+    }
+
+    #[test]
+    fn json_round_trip_preserves_histogram() {
+        let h = recorded([1, 100, 10_000, u64::MAX / 2]);
+        let back = HistogramSnapshot::from_json(&h.to_json()).unwrap();
+        assert_eq!(back, h);
+        assert_eq!(
+            back.to_json().to_string_compact(),
+            h.to_json().to_string_compact()
+        );
+    }
+
+    #[test]
+    fn json_rejects_wrong_bucket_count() {
+        let mut j = HistogramSnapshot::default().to_json();
+        if let Json::Obj(fields) = &mut j {
+            fields[0].1 = Json::Arr(vec![Json::u64(0); 3]);
+        }
+        assert!(HistogramSnapshot::from_json(&j).is_err());
     }
 
     #[test]

@@ -1,33 +1,11 @@
-//! Probes: where emitted [`Event`]s go.
-//!
-//! A [`Probe`] is a sink for the event stream. The spine ships two:
-//! [`NullProbe`], which discards everything (the default, near-zero-cost
-//! configuration — emission is short-circuited before the probe is even
-//! consulted), and [`TraceRecorder`], a bounded ring buffer that keeps the
-//! most recent events and exports them as JSON lines.
+//! Where emitted [`Event`]s go: the [`TraceRecorder`], a bounded ring
+//! buffer that keeps the most recent events and exports them as JSON
+//! lines. With no recorder attached, emission is short-circuited before
+//! an event is even built.
 
 use std::collections::VecDeque;
 
 use crate::event::Event;
-
-/// A sink for telemetry events.
-///
-/// Implementations must be deterministic: given the same event sequence
-/// they must reach the same state, because traces are compared byte-for-
-/// byte across runs.
-pub trait Probe {
-    /// Observes one event.
-    fn on_event(&mut self, event: &Event);
-}
-
-/// The probe that ignores every event — the disabled-telemetry fast path.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NullProbe;
-
-impl Probe for NullProbe {
-    #[inline]
-    fn on_event(&mut self, _event: &Event) {}
-}
 
 /// A bounded ring buffer of events with JSON-lines export.
 ///
@@ -115,12 +93,6 @@ impl TraceRecorder {
     }
 }
 
-impl Probe for TraceRecorder {
-    fn on_event(&mut self, event: &Event) {
-        self.record(*event);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,12 +128,5 @@ mod tests {
         r.record(Event::Refresh { at: 2 });
         r.record(Event::FullRefresh { at: 3 });
         assert_eq!(r.kind_counts(), vec![("refresh", 2), ("full_refresh", 1)]);
-    }
-
-    #[test]
-    fn null_probe_discards() {
-        let mut p = NullProbe;
-        p.on_event(&Event::Refresh { at: 1 });
-        assert_eq!(p, NullProbe);
     }
 }

@@ -77,10 +77,6 @@ fn scripted_events() -> Vec<Event> {
             row_a: 100,
             row_b: 913,
         },
-        Event::LlcHit {
-            at: 150,
-            addr: 0x00de_ad00,
-        },
         Event::FullRefresh { at: 160 },
         // An in-flight swap with no matching SwapDone: exporter must
         // degrade it to an instant, not drop or mispair it.

@@ -103,6 +103,22 @@ fn spine_counters_mirror_controller_stats() {
 }
 
 #[test]
+fn read_latency_is_the_registry_histogram() {
+    let (result, spine) = traced_smoke_run();
+    let snapshot = spine.snapshot_json();
+    let registry = snapshot
+        .get("histograms")
+        .and_then(|h| h.get("sim.read_latency"))
+        .expect("the runner registers sim.read_latency");
+    assert!(result.read_latency.count() > 0, "the run must serve reads");
+    assert_eq!(
+        result.read_latency.to_json().to_string_compact(),
+        registry.to_string_compact(),
+        "a result's read latency is the registry histogram, written once"
+    );
+}
+
+#[test]
 fn attack_trace_records_swap_events() {
     let cfg = ExperimentConfig::smoke_test();
     let spine = Telemetry::with_trace(DEFAULT_TRACE_CAPACITY);
