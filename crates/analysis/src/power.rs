@@ -2,9 +2,10 @@
 //!
 //! Two components:
 //!
-//! * **DRAM power overhead** of the extra row-swap traffic — measured from
-//!   the simulator's command counts via [`rrs_dram::power`]; the paper
-//!   reports 0.5% on average.
+//! * **DRAM power overhead** of the extra row-swap traffic — priced by
+//!   [`rrs_dram::power`] from the command counts the memory controller's
+//!   `ctrl.*` statistics imply (`ControllerStats::command_counts`); the
+//!   paper reports 0.5% on average.
 //! * **SRAM power** of the RRS structures — the paper reports 903 mW per
 //!   rank from Cacti 6.0 at 32 nm. Cacti is proprietary-input tooling we
 //!   substitute with a first-order model: per-KiB leakage plus per-access

@@ -349,8 +349,8 @@ fn table5(_: &FigureArgs, out: &mut Output) {
 }
 
 /// Table 6: extra power consumption of RRS per rank (§7.2). The DRAM
-/// overhead is measured from the simulator's command counts over the
-/// workload pool; the SRAM figure comes from the first-order Cacti
+/// overhead is priced from the command counts each run's `ctrl.*`
+/// statistics imply, over the workload pool; the SRAM figure comes from the first-order Cacti
 /// substitute (DESIGN.md documents the substitution).
 fn table6(args: &FigureArgs, out: &mut Output) {
     args.header(out, "Table 6: Extra Power Consumption in RRS Per Rank");
@@ -1020,7 +1020,7 @@ fn scheduler_ablation(args: &FigureArgs, out: &mut Output) {
                     let r = t[i];
                     times[c] += (r.gap as u64) / 4 + 1;
                     id += 1;
-                    while !qc.submit(id, r.addr, r.is_write, times[c]) {
+                    while !qc.submit(id, r.addr, times[c]) {
                         // Backpressure: service everything already queued
                         // (their arrivals may be ahead of this core's time).
                         qc.drain_until(u64::MAX);

@@ -392,27 +392,16 @@ impl Rrs {
         self.config.rit_lookup_cycles
     }
 
-    /// Epoch boundary across all banks; returns total swaps in the epoch.
-    pub fn end_epoch(&mut self) -> u64 {
-        self.banks.iter_mut().map(|b| b.end_epoch()).sum()
+    /// Epoch boundary across all banks.
+    pub fn end_epoch(&mut self) {
+        for b in &mut self.banks {
+            b.end_epoch();
+        }
     }
 
     /// Per-bank units, for inspection.
     pub fn banks(&self) -> &[BankRrs] {
         &self.banks
-    }
-
-    /// Aggregate statistics over all banks.
-    pub fn total_stats(&self) -> BankRrsStats {
-        let mut total = BankRrsStats::default();
-        for b in &self.banks {
-            total.swaps += b.stats.swaps;
-            total.unswaps += b.stats.unswaps;
-            total.epoch_swaps += b.stats.epoch_swaps;
-            total.destination_retries += b.stats.destination_retries;
-            total.capacity_stalls += b.stats.capacity_stalls;
-        }
-        total
     }
 }
 
@@ -558,13 +547,15 @@ mod tests {
         let mut rrs = Rrs::new(small_config(), geom);
         let a = RowAddr::new(0, 0, 0, 7);
         let b = RowAddr::new(0, 0, 1, 7);
-        for _ in 0..10 {
-            rrs.on_activation(a);
-        }
+        let actions: Vec<RrsAction> = (0..10).flat_map(|_| rrs.on_activation(a)).collect();
         // Bank 0's row 7 swapped; bank 1's row 7 untouched.
         assert_ne!(rrs.resolve(a), a);
         assert_eq!(rrs.resolve(b), b);
-        assert_eq!(rrs.total_stats().swaps, 1);
+        let swaps = actions
+            .iter()
+            .filter(|x| matches!(x, RrsAction::Swap(_)))
+            .count();
+        assert_eq!(swaps, 1);
     }
 
     #[test]

@@ -1,11 +1,12 @@
-//! Per-bank state machine: row buffer, `tRC`-limited activations, precharge.
+//! Per-bank timing state machine: row buffer, `tRC`-limited activations,
+//! precharge.
 //!
 //! The bank model is deliberately at the granularity the paper's results
 //! depend on: row-buffer hits vs. misses, the `tRC` floor on activation rate
 //! (which bounds `ACT_max` and hence every RRS structure size), and bank
-//! unavailability during refresh and row swaps.
+//! unavailability during refresh and row swaps. It keeps timing only: the
+//! controller's `ctrl.*` counters count the commands.
 
-use crate::command::{CommandCounts, DramCommand};
 use crate::geometry::RowId;
 use crate::timing::{Cycle, TimingParams};
 
@@ -20,7 +21,7 @@ pub struct AccessOutcome {
     pub row_hit: bool,
 }
 
-/// One DRAM bank: open row, timing state, and command accounting.
+/// One DRAM bank: open row and timing state.
 #[derive(Debug, Clone)]
 pub struct Bank {
     timing: TimingParams,
@@ -29,11 +30,6 @@ pub struct Bank {
     next_act_allowed: Cycle,
     /// The bank is busy (refresh, swap streaming) until this cycle.
     busy_until: Cycle,
-    counts: CommandCounts,
-    /// Activations in the current epoch (row-buffer misses + targeted refreshes).
-    epoch_activations: u64,
-    /// Row-buffer hits in the current epoch.
-    epoch_hits: u64,
 }
 
 impl Bank {
@@ -44,9 +40,6 @@ impl Bank {
             open_row: None,
             next_act_allowed: 0,
             busy_until: 0,
-            counts: CommandCounts::new(),
-            epoch_activations: 0,
-            epoch_hits: 0,
         }
     }
 
@@ -58,21 +51,6 @@ impl Bank {
     /// Cycle until which the bank is unavailable.
     pub fn busy_until(&self) -> Cycle {
         self.busy_until
-    }
-
-    /// Commands issued so far.
-    pub fn counts(&self) -> CommandCounts {
-        self.counts
-    }
-
-    /// Activations (ACT commands) issued in the current epoch.
-    pub fn epoch_activations(&self) -> u64 {
-        self.epoch_activations
-    }
-
-    /// Row-buffer hits in the current epoch.
-    pub fn epoch_hits(&self) -> u64 {
-        self.epoch_hits
     }
 
     /// Earliest cycle a new activation could issue if requested at `now`.
@@ -89,10 +67,9 @@ impl Bank {
     /// Performs a column access (read or write) to `row`, activating it
     /// first if it is not the open row. Returns when data transfers and
     /// whether an activation occurred.
-    pub fn access(&mut self, row: RowId, is_write: bool, now: Cycle) -> AccessOutcome {
-        let outcome = if self.open_row == Some(row) {
+    pub fn access(&mut self, row: RowId, now: Cycle) -> AccessOutcome {
+        if self.open_row == Some(row) {
             let start = now.max(self.busy_until);
-            self.epoch_hits += 1;
             AccessOutcome {
                 data_at: start + self.timing.t_cas,
                 activated_at: None,
@@ -105,36 +82,17 @@ impl Bank {
                 activated_at: Some(act_at),
                 row_hit: false,
             }
-        };
-        self.counts.record(if is_write {
-            DramCommand::Write
-        } else {
-            DramCommand::Read
-        });
-        outcome
+        }
     }
 
     /// Activates `row` (precharging the open row first if needed) and
     /// returns the cycle the ACT command issues.
     pub fn activate(&mut self, row: RowId, now: Cycle) -> Cycle {
-        if self.open_row.is_some() {
-            self.counts.record(DramCommand::Precharge);
-        }
         let act_at = self.earliest_activate(now);
-        self.counts.record(DramCommand::Activate);
-        self.epoch_activations += 1;
         self.open_row = Some(row);
         self.next_act_allowed = act_at + self.timing.t_rc;
         self.busy_until = act_at + self.timing.t_rcd;
         act_at
-    }
-
-    /// Precharges (closes) the open row, if any.
-    pub fn precharge(&mut self, now: Cycle) {
-        if self.open_row.take().is_some() {
-            self.counts.record(DramCommand::Precharge);
-            self.busy_until = self.busy_until.max(now) + self.timing.t_rp;
-        }
     }
 
     /// A mitigation-issued targeted refresh of `row`: occupies the bank for
@@ -144,8 +102,6 @@ impl Bank {
     /// Returns the cycle the refresh started.
     pub fn targeted_refresh(&mut self, now: Cycle) -> Cycle {
         let start = self.earliest_activate(now);
-        self.counts.record(DramCommand::TargetedRefresh);
-        self.epoch_activations += 1;
         self.open_row = None;
         self.next_act_allowed = start + self.timing.t_rc;
         self.busy_until = start + self.timing.t_rc;
@@ -158,22 +114,6 @@ impl Bank {
         self.open_row = None;
         self.busy_until = self.busy_until.max(until);
         self.next_act_allowed = self.next_act_allowed.max(until);
-    }
-
-    /// Records a rank-level refresh command against this bank.
-    pub fn record_refresh(&mut self) {
-        self.counts.record(DramCommand::Refresh);
-    }
-
-    /// Records one row-transfer (swap streaming) command.
-    pub fn record_swap_transfer(&mut self) {
-        self.counts.record(DramCommand::SwapTransfer);
-    }
-
-    /// Resets per-epoch statistics (activation/hit counters).
-    pub fn begin_epoch(&mut self) {
-        self.epoch_activations = 0;
-        self.epoch_hits = 0;
     }
 }
 
@@ -188,7 +128,7 @@ mod tests {
     #[test]
     fn first_access_activates() {
         let mut b = bank();
-        let o = b.access(RowId(5), false, 100);
+        let o = b.access(RowId(5), 100);
         assert!(!o.row_hit);
         assert_eq!(o.activated_at, Some(100));
         let t = TimingParams::ddr4_3200();
@@ -200,25 +140,23 @@ mod tests {
     fn second_access_same_row_hits() {
         let mut b = bank();
         let t = TimingParams::ddr4_3200();
-        let first = b.access(RowId(5), false, 0);
-        let o = b.access(RowId(5), true, first.data_at);
+        let first = b.access(RowId(5), 0);
+        let o = b.access(RowId(5), first.data_at);
         assert!(o.row_hit);
         assert_eq!(o.activated_at, None);
         assert_eq!(o.data_at, first.data_at + t.t_cas);
-        assert_eq!(b.epoch_hits(), 1);
     }
 
     #[test]
     fn conflicting_access_precharges_first() {
         let mut b = bank();
         let t = TimingParams::ddr4_3200();
-        b.access(RowId(5), false, 0);
+        b.access(RowId(5), 0);
         // Next ACT must wait for both tRP after precharge and tRC from ACT 0.
-        let o = b.access(RowId(9), false, 200);
+        let o = b.access(RowId(9), 200);
         let act = o.activated_at.unwrap();
         assert!(act >= 200 + t.t_rp);
-        assert_eq!(b.counts().precharges, 1);
-        assert_eq!(b.counts().activates, 2);
+        assert_eq!(b.open_row(), Some(RowId(9)));
     }
 
     #[test]
@@ -251,36 +189,24 @@ mod tests {
 
     #[test]
     fn targeted_refresh_counts_as_activation_and_closes_row() {
+        // For timing, a targeted refresh is an ACT+PRE: it waits out tRC
+        // from the last ACT and holds the bank for a full row cycle.
         let mut b = bank();
-        b.access(RowId(5), false, 0);
-        assert_eq!(b.epoch_activations(), 1);
-        b.targeted_refresh(10_000);
-        assert_eq!(b.epoch_activations(), 2);
+        let t = TimingParams::ddr4_3200();
+        let act = b.access(RowId(5), 0).activated_at.unwrap();
+        let start = b.targeted_refresh(act);
+        assert!(start >= act + t.t_rc, "start={start}");
         assert_eq!(b.open_row(), None);
-        assert_eq!(b.counts().targeted_refreshes, 1);
+        assert_eq!(b.busy_until(), start + t.t_rc);
     }
 
     #[test]
     fn force_busy_blocks_and_closes() {
         let mut b = bank();
-        b.access(RowId(5), false, 0);
+        b.access(RowId(5), 0);
         b.force_busy_until(50_000);
         assert_eq!(b.open_row(), None);
-        let o = b.access(RowId(5), false, 1_000);
+        let o = b.access(RowId(5), 1_000);
         assert!(o.activated_at.unwrap() >= 50_000);
-    }
-
-    #[test]
-    fn begin_epoch_resets_counters() {
-        let mut b = bank();
-        b.access(RowId(1), false, 0);
-        b.access(RowId(1), false, 1_000);
-        assert_eq!(b.epoch_activations(), 1);
-        assert_eq!(b.epoch_hits(), 1);
-        b.begin_epoch();
-        assert_eq!(b.epoch_activations(), 0);
-        assert_eq!(b.epoch_hits(), 0);
-        // Lifetime command counts are preserved.
-        assert_eq!(b.counts().reads, 2);
     }
 }

@@ -1,12 +1,11 @@
 //! JSON conversions for the DRAM result types that appear in serialized
-//! campaign cells: [`RowAddr`], [`BitFlip`], and [`CommandCounts`].
+//! campaign cells: [`RowAddr`] and [`BitFlip`].
 //!
 //! Field order is fixed (declaration order) — the campaign engine's
 //! byte-identity invariant depends on it.
 
 use rrs_json::{FromJson, Json, JsonError, ToJson};
 
-use crate::command::CommandCounts;
 use crate::geometry::{BankId, ChannelId, RankId, RowAddr, RowId};
 use crate::hammer::BitFlip;
 
@@ -52,37 +51,6 @@ impl FromJson for BitFlip {
     }
 }
 
-impl ToJson for CommandCounts {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("activates".into(), Json::u64(self.activates)),
-            ("precharges".into(), Json::u64(self.precharges)),
-            ("reads".into(), Json::u64(self.reads)),
-            ("writes".into(), Json::u64(self.writes)),
-            ("refreshes".into(), Json::u64(self.refreshes)),
-            (
-                "targeted_refreshes".into(),
-                Json::u64(self.targeted_refreshes),
-            ),
-            ("swap_transfers".into(), Json::u64(self.swap_transfers)),
-        ])
-    }
-}
-
-impl FromJson for CommandCounts {
-    fn from_json(json: &Json) -> Result<Self, JsonError> {
-        Ok(CommandCounts {
-            activates: u64::from_json(json.field("activates")?)?,
-            precharges: u64::from_json(json.field("precharges")?)?,
-            reads: u64::from_json(json.field("reads")?)?,
-            writes: u64::from_json(json.field("writes")?)?,
-            refreshes: u64::from_json(json.field("refreshes")?)?,
-            targeted_refreshes: u64::from_json(json.field("targeted_refreshes")?)?,
-            swap_transfers: u64::from_json(json.field("swap_transfers")?)?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,19 +72,5 @@ mod tests {
         assert_eq!(back.victim, f.victim);
         assert_eq!(back.epoch, f.epoch);
         assert_eq!(back.disturbance.to_bits(), f.disturbance.to_bits());
-    }
-
-    #[test]
-    fn command_counts_round_trip() {
-        let c = CommandCounts {
-            activates: 1,
-            precharges: 2,
-            reads: 3,
-            writes: 4,
-            refreshes: 5,
-            targeted_refreshes: 6,
-            swap_transfers: u64::MAX,
-        };
-        assert_eq!(CommandCounts::from_json(&c.to_json()).unwrap(), c);
     }
 }

@@ -9,10 +9,11 @@
 //! * [`timing`] — DDR4-3200 timing parameters (Table 2 of the paper) and the
 //!   derived quantities the paper quotes (1.36 M activations per bank per
 //!   64 ms, 365 ns row transfers, 1.46 µs row swaps, ...),
-//! * [`bank`] — the per-bank state machine (row buffer, `tRC`-limited
-//!   activations, precharge),
-//! * [`command`] — the DDR command vocabulary and per-command counting,
-//! * [`power`] — a first-order DRAM power model driven by command counts,
+//! * [`bank`] — the per-bank timing state machine (row buffer, `tRC`-limited
+//!   activations, precharge); commands are counted by the controller's
+//!   `ctrl.*` statistics, not here,
+//! * [`power`] — a first-order DRAM power model priced from command counts
+//!   ([`CommandCounts`], which the controller derives from those statistics),
 //! * [`hammer`] — the Row Hammer disturbance fault model, including the
 //!   mechanics that make the Half-Double attack work against victim-focused
 //!   mitigations.
@@ -39,7 +40,6 @@
 //! ```
 
 pub mod bank;
-pub mod command;
 pub mod error;
 pub mod geometry;
 pub mod hammer;
@@ -48,9 +48,8 @@ pub mod power;
 pub mod timing;
 
 pub use bank::Bank;
-pub use command::{CommandCounts, DramCommand};
 pub use error::DramError;
 pub use geometry::{BankId, ChannelId, DramGeometry, RankId, RowAddr, RowId};
 pub use hammer::{BitFlip, HammerConfig, HammerModel};
-pub use power::{DramPowerModel, PowerReport};
+pub use power::{CommandCounts, DramPowerModel, PowerReport};
 pub use timing::{Cycle, TimingParams};

@@ -6,9 +6,32 @@
 //! constants (per rank, first-order), so the ratio of swap energy to demand
 //! energy — the quantity Table 6 reports — is faithful even though absolute
 //! wattage is approximate. The substitution is documented in DESIGN.md.
+//!
+//! The model keeps no counts of its own: its input, [`CommandCounts`], is
+//! derived from the memory controller's `ctrl.*` statistics
+//! (`ControllerStats::command_counts` in `rrs-mem-ctrl`).
 
-use crate::command::CommandCounts;
 use crate::timing::{Cycle, TimingParams};
+
+/// Commands issued over an interval, by energy class: the power model's
+/// input. A row's precharge is priced into its activation (one ACT+PRE
+/// energy), so precharges are not a separate class.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CommandCounts {
+    /// ACT commands issued for demand accesses.
+    pub activates: u64,
+    /// Column reads issued.
+    pub reads: u64,
+    /// Column writes issued.
+    pub writes: u64,
+    /// Per-rank refresh commands issued.
+    pub refreshes: u64,
+    /// Mitigation-issued single-row refreshes.
+    pub targeted_refreshes: u64,
+    /// Row transfers between DRAM and a swap buffer (row swaps and
+    /// un-swaps; internally a streaming ACT + a row of column accesses).
+    pub swap_transfers: u64,
+}
 
 /// Per-rank energy constants, in nanojoules per command.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -127,28 +150,36 @@ impl PowerReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::command::DramCommand;
 
     #[test]
     fn energy_is_linear_in_commands() {
         let m = DramPowerModel::ddr4();
-        let mut c = CommandCounts::new();
-        c.record(DramCommand::Activate);
-        c.record(DramCommand::Read);
-        let e1 = m.command_energy_nj(&c, 128);
-        c.record(DramCommand::Activate);
-        c.record(DramCommand::Read);
-        let e2 = m.command_energy_nj(&c, 128);
+        let one = CommandCounts {
+            activates: 1,
+            reads: 1,
+            ..CommandCounts::default()
+        };
+        let two = CommandCounts {
+            activates: 2,
+            reads: 2,
+            ..CommandCounts::default()
+        };
+        let e1 = m.command_energy_nj(&one, 128);
+        let e2 = m.command_energy_nj(&two, 128);
         assert!((e2 - 2.0 * e1).abs() < 1e-9);
     }
 
     #[test]
     fn swap_transfer_costs_a_full_row() {
         let m = DramPowerModel::ddr4();
-        let mut swap = CommandCounts::new();
-        swap.record(DramCommand::SwapTransfer);
-        let mut line = CommandCounts::new();
-        line.record(DramCommand::Read);
+        let swap = CommandCounts {
+            swap_transfers: 1,
+            ..CommandCounts::default()
+        };
+        let line = CommandCounts {
+            reads: 1,
+            ..CommandCounts::default()
+        };
         // One row transfer moves 128 lines; it must cost far more than one.
         assert!(m.command_energy_nj(&swap, 128) > 50.0 * m.command_energy_nj(&line, 128));
     }
@@ -175,7 +206,7 @@ mod tests {
     fn average_power_includes_background() {
         let m = DramPowerModel::ddr4();
         let t = TimingParams::ddr4_3200();
-        let r = m.report(&CommandCounts::new(), t.epoch, &t, 128, 1);
+        let r = m.report(&CommandCounts::default(), t.epoch, &t, 128, 1);
         // Idle rank: exactly the background power.
         assert!((r.average_mw() - m.background_mw).abs() < 1.0);
     }
@@ -184,7 +215,7 @@ mod tests {
     fn zero_elapsed_reports_zero_power() {
         let m = DramPowerModel::ddr4();
         let t = TimingParams::ddr4_3200();
-        let r = m.report(&CommandCounts::new(), 0, &t, 128, 1);
+        let r = m.report(&CommandCounts::default(), 0, &t, 128, 1);
         assert_eq!(r.average_mw(), 0.0);
     }
 }

@@ -61,7 +61,7 @@ fn bank_respects_trc() {
         let mut last_act: Option<u64> = None;
         let mut now = 0;
         for row in rows {
-            let out = bank.access(RowId(row), false, now);
+            let out = bank.access(RowId(row), now);
             if let Some(at) = out.activated_at {
                 if let Some(prev) = last_act {
                     assert!(
@@ -88,7 +88,7 @@ fn bank_data_time_is_causal() {
         let mut bank = Bank::new(TimingParams::ddr4_3200());
         let mut now = 0;
         for row in rows {
-            let out = bank.access(RowId(row), false, now);
+            let out = bank.access(RowId(row), now);
             assert!(out.data_at > now);
             now = out.data_at;
         }

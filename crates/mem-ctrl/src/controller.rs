@@ -13,6 +13,7 @@
 use rrs_dram::bank::Bank;
 use rrs_dram::geometry::{DramGeometry, RowAddr};
 use rrs_dram::hammer::{BitFlip, HammerConfig, HammerModel};
+use rrs_dram::power::CommandCounts;
 use rrs_dram::timing::{Cycle, TimingParams};
 use rrs_json::{FromJson, Json, JsonError, ToJson};
 use rrs_telemetry::{Counter, Event, Series, Telemetry};
@@ -20,20 +21,13 @@ use rrs_telemetry::{Counter, Event, Series, Telemetry};
 use crate::mapping::AddressMapper;
 use crate::mitigation::{Mitigation, MitigationAction};
 
-/// Row-buffer management policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PagePolicy {
-    /// Keep the row open after an access (the paper's FCFS open-page
-    /// baseline): later same-row accesses hit the row buffer.
-    #[default]
-    Open,
-    /// Precharge immediately after each access: every access activates.
-    /// Trades row-hit locality for lower conflict latency; also a useful
-    /// worst-case for Row Hammer studies (maximum activation rate).
-    Closed,
-}
+/// Row transfers per row of a swap or un-swap: each row is streamed out to
+/// a swap buffer and back in (§4.4), two activations' worth of disturbance.
+const TRANSFERS_PER_SWAPPED_ROW: u64 = 2;
 
-/// Controller configuration.
+/// Controller configuration. The controller keeps the paper's open-page
+/// policy: a row stays open until a conflicting access, refresh or
+/// mitigation action closes it.
 #[derive(Debug, Clone)]
 pub struct ControllerConfig {
     /// Memory geometry.
@@ -49,8 +43,6 @@ pub struct ControllerConfig {
     /// Activation-count threshold for the per-epoch "hot rows" statistic
     /// (the paper's ACT-800+ of Table 3). Scale along with the epoch.
     pub act_stat_threshold: u64,
-    /// Row-buffer management policy.
-    pub page_policy: PagePolicy,
 }
 
 impl ControllerConfig {
@@ -64,7 +56,6 @@ impl ControllerConfig {
             timing,
             hammer: HammerConfig::lpddr4_new(),
             act_stat_threshold: 800,
-            page_policy: PagePolicy::Open,
         }
     }
 
@@ -78,7 +69,6 @@ impl ControllerConfig {
             timing,
             hammer: HammerConfig::lpddr4_new(),
             act_stat_threshold: 800,
-            page_policy: PagePolicy::Open,
         }
     }
 }
@@ -89,6 +79,8 @@ impl ControllerConfig {
 /// generates the struct, the registry handles ([`CtrlMetrics`]), their
 /// registration, the snapshot behind [`MemoryController::stats`] and the
 /// JSON conversions, all in table order — the order `SimResult` JSON pins.
+/// The counters are also the run's only DRAM command ledger: the power
+/// model's input is derived from them ([`ControllerStats::command_counts`]).
 macro_rules! controller_stats {
     (
         counters { $($(#[$cdoc:meta])* $counter:ident,)+ }
@@ -161,6 +153,8 @@ controller_stats! {
         unswaps,
         /// Targeted (victim) refreshes executed.
         targeted_refreshes,
+        /// Per-rank refresh commands issued (one per rank every `tREFI`).
+        refreshes,
         /// Full-memory preemptive refreshes (detector escalations).
         full_refreshes,
         /// Cycles of activation stalling imposed by the mitigation
@@ -198,6 +192,20 @@ impl ControllerStats {
             0.0
         } else {
             self.row_hits as f64 / total as f64
+        }
+    }
+
+    /// The DRAM commands these statistics imply: the power model's input.
+    /// Every swap and un-swap streams both of its rows out and back in:
+    /// four row transfers.
+    pub fn command_counts(&self) -> CommandCounts {
+        CommandCounts {
+            activates: self.activations,
+            reads: self.reads,
+            writes: self.writes,
+            refreshes: self.refreshes,
+            targeted_refreshes: self.targeted_refreshes,
+            swap_transfers: 2 * TRANSFERS_PER_SWAPPED_ROW * (self.swaps + self.unswaps),
         }
     }
 }
@@ -303,14 +311,6 @@ impl MemoryController {
         self.clock
     }
 
-    /// Per-bank command counts (for the power model).
-    pub fn command_counts(&self) -> rrs_dram::command::CommandCounts {
-        self.banks
-            .iter()
-            .map(|b| b.counts())
-            .fold(rrs_dram::command::CommandCounts::new(), |a, b| a + b)
-    }
-
     fn bank_mut(&mut self, addr: RowAddr) -> &mut Bank {
         let idx = addr.bank_index(&self.config.geometry);
         // lint: allow(index-panic) — `bank_index` is `< geometry.total_banks()` by construction and `banks` has exactly that length
@@ -350,9 +350,7 @@ impl MemoryController {
             self.metrics.mitigation_delay_cycles.add(delay);
         }
 
-        let outcome = self
-            .bank_mut(physical)
-            .access(physical.row, is_write, start);
+        let outcome = self.bank_mut(physical).access(physical.row, start);
         if is_write {
             self.metrics.writes.inc();
         } else {
@@ -378,10 +376,6 @@ impl MemoryController {
             self.action_scratch = actions;
         } else {
             self.metrics.row_hits.inc();
-        }
-
-        if self.config.page_policy == PagePolicy::Closed {
-            self.bank_mut(physical).precharge(outcome.data_at);
         }
 
         // The held-aside (throttled) request must not reserve the shared
@@ -430,16 +424,13 @@ impl MemoryController {
         self.telemetry.emit(Event::Refresh {
             at: self.next_refresh,
         });
-        // Banks are laid out `((channel * ranks) + rank) * banks_per_rank +
-        // bank`, so walking the vector in order visits each rank's bank 0
-        // exactly when `i % banks_per_rank == 0`.
-        let banks_per_rank = self.config.geometry.banks_per_rank;
-        for (i, bank) in self.banks.iter_mut().enumerate() {
+        for bank in &mut self.banks {
             bank.force_busy_until(end);
-            if i % banks_per_rank == 0 {
-                bank.record_refresh();
-            }
         }
+        // One REF command per rank.
+        let geometry = &self.config.geometry;
+        let ranks = geometry.total_banks() / geometry.banks_per_rank;
+        self.metrics.refreshes.add(ranks as u64);
         self.next_refresh += self.config.timing.t_refi;
     }
 
@@ -458,9 +449,6 @@ impl MemoryController {
         self.mitigation.on_epoch_end(at, &mut actions);
         self.execute_actions(&actions, at);
         self.action_scratch = actions;
-        for b in &mut self.banks {
-            b.begin_epoch();
-        }
         let epoch = self.metrics.epochs_completed.get();
         self.metrics.epochs_completed.inc();
         if self.telemetry.tracing() {
@@ -496,15 +484,12 @@ impl MemoryController {
                         *slot = end;
                     }
                     for row in [a, b] {
-                        let bank = self.bank_mut(row);
-                        bank.force_busy_until(end);
-                        // Each row is streamed out and back in: two row
-                        // activations' worth of disturbance and two
-                        // transfer commands (§4.4).
-                        bank.record_swap_transfer();
-                        bank.record_swap_transfer();
-                        self.hammer.record_activation(row);
-                        self.hammer.record_activation(row);
+                        self.bank_mut(row).force_busy_until(end);
+                        // Each transfer is a row activation's worth of
+                        // disturbance; `swaps`/`unswaps` count the commands.
+                        for _ in 0..TRANSFERS_PER_SWAPPED_ROW {
+                            self.hammer.record_activation(row);
+                        }
                     }
                     self.metrics.swap_busy_cycles.add(cost);
                     if is_swap {
@@ -786,29 +771,6 @@ mod tests {
             "next access done at {d2}, swaps from {at} need {}",
             2 * swap_cycles
         );
-    }
-
-    #[test]
-    fn closed_page_policy_never_hits() {
-        let mut cfg = ControllerConfig::test_config();
-        cfg.page_policy = PagePolicy::Closed;
-        let mut c = MemoryController::new(cfg, Box::new(NoMitigation::new()));
-        let mut now = 0;
-        for _ in 0..20 {
-            now = c.access(0, false, now); // same line every time
-        }
-        assert_eq!(c.stats().row_hits, 0, "closed page must never row-hit");
-        assert_eq!(c.stats().activations, 20);
-        // Open page on the same stream hits after the first access.
-        let mut open = MemoryController::new(
-            ControllerConfig::test_config(),
-            Box::new(NoMitigation::new()),
-        );
-        let mut now = 0;
-        for _ in 0..20 {
-            now = open.access(0, false, now);
-        }
-        assert_eq!(open.stats().row_hits, 19);
     }
 
     #[test]

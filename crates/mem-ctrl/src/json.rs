@@ -21,6 +21,7 @@ mod tests {
             swaps: 2,
             unswaps: 1,
             targeted_refreshes: 3,
+            refreshes: 7,
             full_refreshes: 0,
             mitigation_delay_cycles: 99,
             swap_busy_cycles: 1_000_000,

@@ -32,7 +32,7 @@ pub mod mapping;
 pub mod mitigation;
 pub mod scheduler;
 
-pub use controller::{ControllerConfig, ControllerStats, MemoryController, PagePolicy};
+pub use controller::{ControllerConfig, ControllerStats, MemoryController};
 pub use mapping::{AddressMapper, DecodedAddr};
 pub use mitigation::{Mitigation, MitigationAction, NoMitigation};
 pub use scheduler::{Completion, QueuedController, SchedPolicy};

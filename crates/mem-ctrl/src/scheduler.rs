@@ -50,7 +50,6 @@ pub struct Completion {
 struct Pending {
     id: u64,
     decoded: DecodedAddr,
-    is_write: bool,
     arrival: Cycle,
 }
 
@@ -143,7 +142,7 @@ impl QueuedController {
 
     /// Submits a request; returns `false` (and drops it) when the target
     /// channel queue is full — callers model backpressure by retrying.
-    pub fn submit(&mut self, id: u64, addr: u64, is_write: bool, arrival: Cycle) -> bool {
+    pub fn submit(&mut self, id: u64, addr: u64, arrival: Cycle) -> bool {
         let decoded = self.mapper.decode(addr);
         let ch = decoded.row.channel.0 as usize;
         let Some(q) = self.queues.get_mut(ch) else {
@@ -163,7 +162,6 @@ impl QueuedController {
         q.push_back(Pending {
             id,
             decoded,
-            is_write,
             arrival,
         });
         true
@@ -232,7 +230,7 @@ impl QueuedController {
         let Some(bank) = self.banks.get_mut(idx) else {
             return;
         };
-        let outcome = bank.access(p.decoded.row.row, p.is_write, p.arrival);
+        let outcome = bank.access(p.decoded.row.row, p.arrival);
         if outcome.row_hit {
             self.row_hits.inc();
         } else {
@@ -277,8 +275,8 @@ mod tests {
     #[test]
     fn completes_submitted_requests() {
         let mut c = controller(SchedPolicy::Fcfs);
-        assert!(c.submit(1, addr_of(5, 0), false, 0));
-        assert!(c.submit(2, addr_of(5, 1), false, 10));
+        assert!(c.submit(1, addr_of(5, 0), 0));
+        assert!(c.submit(2, addr_of(5, 1), 10));
         let done = c.drain_until(1_000);
         assert_eq!(done.len(), 2);
         assert!(done[0].done_at > 0);
@@ -288,8 +286,8 @@ mod tests {
     #[test]
     fn horizon_gates_future_arrivals() {
         let mut c = controller(SchedPolicy::Fcfs);
-        c.submit(1, addr_of(5, 0), false, 0);
-        c.submit(2, addr_of(6, 0), false, 10_000);
+        c.submit(1, addr_of(5, 0), 0);
+        c.submit(2, addr_of(6, 0), 10_000);
         let done = c.drain_until(100);
         assert_eq!(done.len(), 1);
         assert_eq!(c.queued(), 1);
@@ -305,9 +303,9 @@ mod tests {
             SchedPolicy::Fcfs,
             2,
         );
-        assert!(c.submit(1, addr_of(1, 0), false, 0));
-        assert!(c.submit(2, addr_of(2, 0), false, 0));
-        assert!(!c.submit(3, addr_of(3, 0), false, 0), "queue is full");
+        assert!(c.submit(1, addr_of(1, 0), 0));
+        assert!(c.submit(2, addr_of(2, 0), 0));
+        assert!(!c.submit(3, addr_of(3, 0), 0), "queue is full");
     }
 
     #[test]
@@ -321,7 +319,7 @@ mod tests {
         let run = |policy| {
             let mut c = controller(policy);
             for (i, (row, col)) in pattern.iter().enumerate() {
-                c.submit(i as u64, addr_of(*row, *col), false, i as u64);
+                c.submit(i as u64, addr_of(*row, *col), i as u64);
             }
             c.drain_until(1_000_000);
             (c.activations(), c.hit_rate())
@@ -337,7 +335,7 @@ mod tests {
     fn fcfs_preserves_arrival_order() {
         let mut c = controller(SchedPolicy::Fcfs);
         for i in 0..8u64 {
-            c.submit(i, addr_of(i as u32, 0), false, i * 100);
+            c.submit(i, addr_of(i as u32, 0), i * 100);
         }
         let done = c.drain_until(1_000_000);
         let ids: Vec<u64> = done.iter().map(|d| d.id).collect();
@@ -349,10 +347,10 @@ mod tests {
         // Even with a steady row-hit stream, the oldest conflicting request
         // is served once the hit stream is exhausted at the horizon.
         let mut c = controller(SchedPolicy::FrFcfs);
-        c.submit(0, addr_of(1, 0), false, 0); // opens row 1
-        c.submit(1, addr_of(2, 0), false, 1); // conflicting
+        c.submit(0, addr_of(1, 0), 0); // opens row 1
+        c.submit(1, addr_of(2, 0), 1); // conflicting
         for i in 0..10u64 {
-            c.submit(10 + i, addr_of(1, 1 + i as u32), false, 2 + i);
+            c.submit(10 + i, addr_of(1, 1 + i as u32), 2 + i);
         }
         let done = c.drain_until(1_000_000);
         assert_eq!(done.len(), 12);

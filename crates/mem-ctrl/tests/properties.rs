@@ -111,7 +111,8 @@ impl Mitigation for ScriptedSwaps {
 /// every access is either a row hit or an activation. Under a mitigation
 /// that swaps on arbitrary activations, the swap ledger balances too:
 /// every swap and unswap blocks the channel for exactly `swap_cycles`,
-/// and the per-epoch swap counts never exceed the lifetime total.
+/// and the per-epoch swap counts never exceed the lifetime total. Every
+/// rank is refreshed once per elapsed `tREFI`.
 #[test]
 fn controller_stats_conserve() {
     check(|g| {
@@ -133,6 +134,7 @@ fn controller_stats_conserve() {
                 mc.flush_epoch();
             }
         }
+        mc.advance_to(mc.now());
         let s = mc.stats();
         assert_eq!(s.reads + s.writes, reqs.len() as u64);
         assert_eq!(s.activations + s.row_hits, reqs.len() as u64);
@@ -141,5 +143,11 @@ fn controller_stats_conserve() {
             (s.swaps + s.unswaps) * config.swap_cycles
         );
         assert!(s.epoch_swap_history.iter().sum::<u64>() <= s.swaps);
+        // One refresh command per rank every tREFI, up to the clock.
+        let ranks = config.geometry.total_banks() / config.geometry.banks_per_rank;
+        assert_eq!(
+            s.refreshes,
+            ranks as u64 * (mc.now() / config.timing.t_refi)
+        );
     });
 }

@@ -20,7 +20,6 @@ pub struct Para {
     geometry: DramGeometry,
     prng: PrinceCtrRng,
     name: String,
-    refreshes_issued: u64,
 }
 
 impl Para {
@@ -36,7 +35,6 @@ impl Para {
             geometry,
             prng: PrinceCtrRng::new(seed ^ 0x5041_5241), // "PARA"
             name: format!("para-p{p:.4}"),
-            refreshes_issued: 0,
         }
     }
 
@@ -50,11 +48,6 @@ impl Para {
     pub fn probability(&self) -> f64 {
         self.p
     }
-
-    /// Total neighbour refreshes issued.
-    pub fn refreshes_issued(&self) -> u64 {
-        self.refreshes_issued
-    }
 }
 
 impl Mitigation for Para {
@@ -66,7 +59,6 @@ impl Mitigation for Para {
         if self.prng.next_bool(self.p) {
             for victim in row.neighbors(1, &self.geometry) {
                 actions.push(MitigationAction::TargetedRefresh(victim));
-                self.refreshes_issued += 1;
             }
         }
     }
@@ -113,7 +105,6 @@ mod tests {
                 MitigationAction::TargetedRefresh(row.with_row(101)),
             ]
         );
-        assert_eq!(m.refreshes_issued(), 2);
     }
 
     #[test]

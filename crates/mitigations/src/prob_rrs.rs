@@ -32,7 +32,6 @@ pub struct ProbabilisticRrs {
     rows_per_bank: u64,
     geometry: DramGeometry,
     banks: Vec<BankState>,
-    swaps: u64,
     name: String,
 }
 
@@ -56,7 +55,6 @@ impl ProbabilisticRrs {
             rows_per_bank: geometry.rows_per_bank as u64,
             geometry,
             banks,
-            swaps: 0,
             name: format!("prob-rrs-p{p:.5}"),
         }
     }
@@ -76,11 +74,6 @@ impl ProbabilisticRrs {
     /// Swap probability per activation.
     pub fn probability(&self) -> f64 {
         self.p
-    }
-
-    /// Total swaps triggered.
-    pub fn swaps(&self) -> u64 {
-        self.swaps
     }
 }
 
@@ -121,7 +114,6 @@ impl Mitigation for ProbabilisticRrs {
             let dest = bank.prng.next_below(rows);
             if dest != logical && !bank.rit.involves(dest) {
                 if let Ok(ps) = bank.rit.swap(logical, dest) {
-                    self.swaps += 1;
                     actions.push(MitigationAction::RowSwap {
                         a: row.with_row(ps.row_a as u32),
                         b: row.with_row(ps.row_b as u32),
@@ -143,6 +135,13 @@ impl Mitigation for ProbabilisticRrs {
 mod tests {
     use super::*;
 
+    fn swaps_in(actions: &[MitigationAction]) -> usize {
+        actions
+            .iter()
+            .filter(|a| matches!(a, MitigationAction::RowSwap { .. }))
+            .count()
+    }
+
     #[test]
     fn swap_rate_tracks_probability() {
         let mut m = ProbabilisticRrs::new(0.05, 256, DramGeometry::tiny_test(), 3);
@@ -151,7 +150,7 @@ mod tests {
             // Spread over rows so the RIT does not saturate.
             m.on_activation(RowAddr::new(0, 0, 0, i % 500), 0, &mut actions);
         }
-        let swaps = m.swaps();
+        let swaps = swaps_in(&actions);
         assert!((120..=300).contains(&swaps), "swaps = {swaps}");
     }
 
@@ -171,12 +170,9 @@ mod tests {
             prob.on_activation(row, 0, &mut pa);
             tracked.on_activation(row, 0, &mut ta);
         }
-        let tracked_swaps = ta
-            .iter()
-            .filter(|a| matches!(a, MitigationAction::RowSwap { .. }))
-            .count();
-        assert_eq!(tracked_swaps, 0);
-        assert!(prob.swaps() > 20, "prob swaps = {}", prob.swaps());
+        assert_eq!(swaps_in(&ta), 0);
+        let prob_swaps = swaps_in(&pa);
+        assert!(prob_swaps > 20, "prob swaps = {prob_swaps}");
     }
 
     #[test]
@@ -185,7 +181,7 @@ mod tests {
         let row = RowAddr::new(0, 0, 0, 5);
         let mut actions = Vec::new();
         m.on_activation(row, 0, &mut actions);
-        assert_eq!(m.swaps(), 1);
+        assert_eq!(swaps_in(&actions), 1);
         assert_ne!(m.resolve(row), row);
     }
 }

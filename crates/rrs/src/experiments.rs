@@ -158,7 +158,6 @@ impl ExperimentConfig {
             timing,
             hammer: HammerConfig::for_threshold(self.t_rh()),
             act_stat_threshold: (800 / self.scale).max(1),
-            page_policy: Default::default(),
         };
         let mut sys =
             SystemConfig::asplos22_baseline(self.instructions_per_core).with_controller(controller);

@@ -11,7 +11,6 @@
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 
-use rrs_dram::command::CommandCounts;
 use rrs_dram::hammer::BitFlip;
 use rrs_dram::power::{DramPowerModel, PowerReport};
 use rrs_dram::timing::Cycle;
@@ -39,8 +38,6 @@ pub struct SimResult {
     pub stats: ControllerStats,
     /// Row Hammer bit flips observed during the run.
     pub bit_flips: Vec<BitFlip>,
-    /// Aggregate DRAM command counts.
-    pub command_counts: CommandCounts,
     /// Read-latency distribution (request to data, in cycles): the
     /// registry's `sim.read_latency` histogram at the end of the run.
     pub read_latency: HistogramSnapshot,
@@ -119,7 +116,8 @@ impl SimResult {
         })
     }
 
-    /// DRAM power report for this run.
+    /// DRAM power report for this run, priced from the command counts its
+    /// controller statistics imply.
     pub fn power_report(
         &self,
         timing: &rrs_dram::timing::TimingParams,
@@ -127,7 +125,7 @@ impl SimResult {
         ranks: usize,
     ) -> PowerReport {
         DramPowerModel::ddr4().report(
-            &self.command_counts,
+            &self.stats.command_counts(),
             self.cycles,
             timing,
             lines_per_row,
@@ -150,7 +148,6 @@ impl rrs_json::ToJson for SimResult {
             ("cycles".into(), Json::u64(self.cycles)),
             ("stats".into(), self.stats.to_json()),
             ("bit_flips".into(), self.bit_flips.to_json()),
-            ("command_counts".into(), self.command_counts.to_json()),
             ("read_latency".into(), self.read_latency.to_json()),
         ])
     }
@@ -166,7 +163,6 @@ impl rrs_json::FromJson for SimResult {
             cycles: u64::from_json(json.field("cycles")?)?,
             stats: ControllerStats::from_json(json.field("stats")?)?,
             bit_flips: Vec::from_json(json.field("bit_flips")?)?,
-            command_counts: CommandCounts::from_json(json.field("command_counts")?)?,
             read_latency: HistogramSnapshot::from_json(json.field("read_latency")?)?,
         })
     }
@@ -306,7 +302,6 @@ pub fn run_probed(
         .unwrap_or(0);
     let total_instructions = cores.iter().map(|c| c.retired).sum();
     let bit_flips = mc.take_bit_flips();
-    let command_counts = mc.command_counts();
 
     // Snapshot (not drain) the registry: the caller's spine keeps the
     // run's counters and histograms for inspection after `run_probed`
@@ -320,7 +315,6 @@ pub fn run_probed(
         cycles,
         stats: mc.stats(),
         bit_flips,
-        command_counts,
         read_latency: read_latency.snapshot(),
     }
 }
@@ -448,7 +442,6 @@ mod tests {
             cycles: 0,
             stats: Default::default(),
             bit_flips: vec![],
-            command_counts: Default::default(),
             read_latency: HistogramSnapshot::default(),
         }
     }

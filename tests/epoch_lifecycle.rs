@@ -29,7 +29,6 @@ fn controller_with_rrs(detector: bool) -> MemoryController {
         timing,
         hammer: HammerConfig::for_threshold(60),
         act_stat_threshold: 10,
-        page_policy: Default::default(),
     };
     MemoryController::new(cfg, Box::new(RrsMitigation::new(rrs_cfg, geometry)))
 }

@@ -19,7 +19,9 @@
 use std::path::PathBuf;
 
 use rrs::campaign::{Campaign, Cell, CellAction, RunOptions};
+use rrs::dram::power::CommandCounts;
 use rrs::experiments::{ExperimentConfig, MitigationKind};
+use rrs::sim::runner::SimResult;
 use rrs::workloads::catalog::table3_workloads;
 use rrs::workloads::AttackKind;
 use rrs_json::ToJson;
@@ -30,12 +32,15 @@ fn golden_dir() -> PathBuf {
         .join("tests/golden")
 }
 
-fn check(label: &str, cell: Cell) {
-    let id = cell.id();
+fn result_of(cell: Cell) -> SimResult {
     let mut campaign = Campaign::new();
     let idx = campaign.push(cell);
-    let run = campaign.run(&RunOptions::quiet());
-    let got = run.get(idx).to_json().to_string_pretty();
+    campaign.run(&RunOptions::quiet()).get(idx).clone()
+}
+
+fn check(label: &str, cell: Cell) {
+    let id = cell.id();
+    let got = result_of(cell).to_json().to_string_pretty();
     let path = golden_dir().join(format!("{id}.json"));
     if std::env::var_os("RRS_BLESS").is_some() {
         std::fs::create_dir_all(golden_dir()).expect("create tests/golden");
@@ -59,33 +64,59 @@ fn check(label: &str, cell: Cell) {
 }
 
 /// One Fig. 5-shaped cell: first Table-3 workload under RRS.
-#[test]
-fn figure_cell_matches_golden() {
-    let config = ExperimentConfig::smoke_test();
+fn figure_cell() -> Cell {
     let workload = *table3_workloads().first().expect("table3 workloads");
-    check(
-        "fig5 cell",
-        Cell {
-            config,
-            action: CellAction::Workload(workload),
-            mitigation: MitigationKind::Rrs,
-        },
-    );
+    Cell {
+        config: ExperimentConfig::smoke_test(),
+        action: CellAction::Workload(workload),
+        mitigation: MitigationKind::Rrs,
+    }
 }
 
 /// One Table 7-shaped cell: double-sided attack under RRS, 2 epochs.
+fn table_cell() -> Cell {
+    Cell {
+        config: ExperimentConfig::smoke_test(),
+        action: CellAction::Attack {
+            kind: AttackKind::DoubleSided,
+            epochs: 2,
+        },
+        mitigation: MitigationKind::Rrs,
+    }
+}
+
+#[test]
+fn figure_cell_matches_golden() {
+    check("fig5 cell", figure_cell());
+}
+
 #[test]
 fn table_cell_matches_golden() {
-    let config = ExperimentConfig::smoke_test();
-    check(
-        "table7 cell",
-        Cell {
-            config,
-            action: CellAction::Attack {
-                kind: AttackKind::DoubleSided,
-                epochs: 2,
-            },
-            mitigation: MitigationKind::Rrs,
-        },
-    );
+    check("table7 cell", table_cell());
+}
+
+/// Table 6 prices the commands `ControllerStats::command_counts` derives
+/// from the `ctrl.*` counters. These are the counts the golden cells
+/// recorded when each bank counted its own commands; the derivation must
+/// reproduce them exactly.
+#[test]
+fn golden_cells_derive_the_recorded_command_counts() {
+    let attack = CommandCounts {
+        activates: 29_446,
+        reads: 29_452,
+        writes: 0,
+        refreshes: 354,
+        targeted_refreshes: 0,
+        swap_transfers: 16_336,
+    };
+    let hmmer = CommandCounts {
+        activates: 283,
+        reads: 236,
+        writes: 107,
+        refreshes: 4,
+        targeted_refreshes: 0,
+        swap_transfers: 0,
+    };
+    assert_eq!(result_of(table_cell()).stats.command_counts(), attack);
+    assert_eq!(result_of(figure_cell()).stats.command_counts(), hmmer);
 }

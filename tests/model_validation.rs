@@ -10,7 +10,7 @@ use rrs::core::rrs::RrsConfig;
 use rrs::dram::geometry::RowAddr;
 use rrs::dram::timing::{Cycle, TimingParams};
 use rrs::experiments::ExperimentConfig;
-use rrs::mem_ctrl::controller::{ControllerConfig, MemoryController, PagePolicy};
+use rrs::mem_ctrl::controller::{ControllerConfig, MemoryController};
 use rrs::mem_ctrl::mitigation::MitigationAction;
 use rrs::Mitigation;
 
@@ -38,21 +38,20 @@ impl Mitigation for SwapEvery {
 
 #[test]
 fn analytic_duty_cycle_matches_controller_swap_accounting() {
-    // §5.3.1's D = 0.925: hammer one row under a closed page so every
-    // access activates, swap+unswap every T_RRS = 800 activations, and
-    // compare the controller's measured busy fraction.
-    let mut config = ControllerConfig::asplos22_baseline();
-    config.page_policy = PagePolicy::Closed;
+    // §5.3.1's D = 0.925: alternate two rows of one bank so every access
+    // activates under the open page, swap+unswap every T_RRS = 800
+    // activations, and compare the controller's measured busy fraction.
     let mut mc = MemoryController::new(
-        config,
+        ControllerConfig::asplos22_baseline(),
         Box::new(SwapEvery {
             t: 800,
             activations: 0,
         }),
     );
+    let rows = [0, 1].map(|r| mc.mapper().row_base(RowAddr::new(0, 0, 0, r)));
     let mut now = 0;
-    for _ in 0..200 * 800 {
-        now = mc.access(0, false, now);
+    for i in 0..200 * 800 {
+        now = mc.access(rows[i % 2], false, now);
     }
     let stats = mc.stats();
     assert_eq!((stats.swaps, stats.unswaps), (200, 200));
