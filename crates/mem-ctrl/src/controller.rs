@@ -296,11 +296,6 @@ impl MemoryController {
         self.metrics.snapshot()
     }
 
-    /// The fault model (read access).
-    pub fn hammer(&self) -> &HammerModel {
-        &self.hammer
-    }
-
     /// Drains bit flips recorded by the fault model.
     pub fn take_bit_flips(&mut self) -> Vec<BitFlip> {
         self.hammer.take_bit_flips()
@@ -649,7 +644,7 @@ mod tests {
             now = c.access(mapper.row_base(row), false, now);
             now = c.access(mapper.row_base(other), false, now);
         }
-        assert_eq!(c.hammer().activations_of(row), 50);
+        assert_eq!(c.hammer.activations_of(row), 50);
     }
 
     #[test]
