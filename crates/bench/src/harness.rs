@@ -24,6 +24,9 @@ const TARGET: Duration = Duration::from_millis(120);
 const CALIBRATE_MIN: Duration = Duration::from_millis(12);
 /// Number of measurement samples; the median is reported.
 const SAMPLES: usize = 5;
+/// Samples taken when calibration lands on one iteration per sample: a
+/// single iteration is one noisy reading, so the median needs more of them.
+const SINGLE_ITER_SAMPLES: usize = 11;
 
 /// Per-benchmark timing context handed to the closure.
 pub struct Bencher {
@@ -65,8 +68,12 @@ pub struct Record {
     pub name: String,
     /// Median nanoseconds per iteration.
     pub ns_per_iter: f64,
+    /// Interquartile range of the samples' nanoseconds per iteration.
+    pub iqr_ns: f64,
     /// Iterations per measurement sample.
     pub iters: u64,
+    /// Measurement samples taken.
+    pub samples: usize,
 }
 
 /// The benchmark runner: collects, filters, times, and reports.
@@ -135,8 +142,13 @@ impl Harness {
             }
             iters *= 2;
         }
-        // Measure: report the median of SAMPLES runs.
-        let mut samples: Vec<f64> = (0..SAMPLES)
+        // Measure: report the median and IQR of the samples.
+        let count = if iters == 1 {
+            SINGLE_ITER_SAMPLES
+        } else {
+            SAMPLES
+        };
+        let mut samples: Vec<f64> = (0..count)
             .map(|_| {
                 let mut b = Bencher {
                     iters,
@@ -147,12 +159,19 @@ impl Harness {
             })
             .collect();
         samples.sort_by(|a, b| a.total_cmp(b));
-        let ns = samples[SAMPLES / 2];
-        println!("{name:<40} {:>12}/iter  ({iters} iters/sample)", fmt_ns(ns));
+        let ns = quantile(&samples, 0.5);
+        let iqr = quantile(&samples, 0.75) - quantile(&samples, 0.25);
+        println!(
+            "{name:<40} {:>12}/iter  ± {:>10} IQR  ({iters} iters/sample, {count} samples)",
+            fmt_ns(ns),
+            fmt_ns(iqr)
+        );
         self.records.push(Record {
             name: name.to_string(),
             ns_per_iter: ns,
+            iqr_ns: iqr,
             iters,
+            samples: count,
         });
     }
 
@@ -165,6 +184,19 @@ impl Harness {
     pub fn finish(self) {
         println!("\n{} benchmarks run", self.records.len());
     }
+}
+
+/// The `q`-quantile of ascending `sorted` samples, interpolating linearly
+/// between neighbours; `0` for no samples.
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    let Some(last) = sorted.len().checked_sub(1) else {
+        return 0.0;
+    };
+    let pos = q.clamp(0.0, 1.0) * last as f64;
+    let (lo, frac) = (pos.floor() as usize, pos.fract());
+    let below = sorted[lo];
+    let above = sorted.get(lo + 1).copied().unwrap_or(below);
+    below + (above - below) * frac
 }
 
 /// Formats nanoseconds with an adaptive unit.
@@ -199,6 +231,33 @@ mod tests {
         });
         assert_eq!(h.records().len(), 1);
         assert!(h.records()[0].ns_per_iter > 0.0);
+        assert!(h.records()[0].iqr_ns >= 0.0);
+        assert_eq!(h.records()[0].samples, SAMPLES);
+    }
+
+    #[test]
+    fn single_iteration_samples_take_more_readings() {
+        let mut h = Harness {
+            quick: true,
+            ..Harness::default()
+        };
+        h.bench("smoke/slow", |b| {
+            b.iter(|| std::thread::sleep(Duration::from_millis(15)))
+        });
+        let record = &h.records()[0];
+        assert_eq!(record.iters, 1);
+        assert_eq!(record.samples, SINGLE_ITER_SAMPLES);
+    }
+
+    #[test]
+    fn quantiles_interpolate_between_samples() {
+        let samples = [1.0, 2.0, 3.0, 4.0, 5.0];
+        assert_eq!(quantile(&samples, 0.5), 3.0);
+        assert_eq!(quantile(&samples, 0.25), 2.0);
+        assert_eq!(quantile(&samples, 0.75), 4.0);
+        assert_eq!(quantile(&[1.0, 2.0], 0.5), 1.5);
+        assert_eq!(quantile(&[7.0], 0.25), 7.0);
+        assert_eq!(quantile(&[], 0.5), 0.0);
     }
 
     #[test]

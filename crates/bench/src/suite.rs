@@ -13,9 +13,10 @@
 //!   scaling. Some of these take seconds per iteration in a debug build.
 
 use std::hint::black_box;
+use std::rc::Rc;
 
 use rrs::campaign::{Campaign, CellAction, RunOptions};
-use rrs::core::cat::{Cat, CatConfig};
+use rrs::core::cat::{Cat, CatConfig, SetIndexMemo};
 use rrs::core::prince::Prince;
 use rrs::core::prng::PrinceCtrRng;
 use rrs::core::rit::RowIndirectionTable;
@@ -86,12 +87,17 @@ fn bench_rrs_engine(h: &mut Harness) {
             black_box(bank.on_activation(row))
         })
     });
+    // Scattered rows of one bank, looked up through a set-index memo
+    // covering the bank, as `BankRrs` does.
     h.bench("tracker/scattered_access", |b| {
+        let rows = 1usize << 17;
         let mut t = CatTracker::new(TRACKER);
+        let memo = SetIndexMemo::new(&TRACKER.cat_config(), rows).expect("64 sets fit a memo");
+        t.attach_set_memo(Rc::new(memo));
         let mut row = 0u64;
         b.iter(|| {
             row = row.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
-            black_box(t.record_access(row >> 40))
+            black_box(t.record_access(row >> 47))
         })
     });
 }
@@ -194,7 +200,7 @@ fn bench_structures(h: &mut Harness) {
     });
 
     h.bench("rit/resolve_mapped", |b| {
-        let mut rit = RowIndirectionTable::new(3_400, 0x1234);
+        let mut rit = RowIndirectionTable::new(3_400, 1 << 17, 0x1234);
         for i in 0..1_000u64 {
             rit.swap(i, 100_000 + i).unwrap();
         }
@@ -205,7 +211,7 @@ fn bench_structures(h: &mut Harness) {
         })
     });
     h.bench("rit/swap_and_back", |b| {
-        let mut rit = RowIndirectionTable::new(3_400, 0x5678);
+        let mut rit = RowIndirectionTable::new(3_400, 1 << 17, 0x5678);
         b.iter(|| {
             rit.swap(1, 2).unwrap();
             black_box(rit.swap(1, 2).unwrap())
@@ -431,15 +437,15 @@ mod tests {
         assert_unique(&h);
         assert!(h.records().iter().all(|r| r.ns_per_iter > 0.0));
         // A rename must not silently un-gate a baseline entry.
-        let baseline = rrs_json::Json::parse(include_str!("../../../BENCH_PR21.json")).unwrap();
+        let baseline = rrs_json::Json::parse(include_str!("../../../BENCH_PR22.json")).unwrap();
         let Some(rrs_json::Json::Obj(gated)) = baseline.get("benches") else {
-            panic!("BENCH_PR21.json has no benches object");
+            panic!("BENCH_PR22.json has no benches object");
         };
         let run = names(&h);
         for (name, _) in gated {
             assert!(
                 run.contains(&name.as_str()),
-                "{name} is gated by BENCH_PR21.json but the smoke tier does not run it"
+                "{name} is gated by BENCH_PR22.json but the smoke tier does not run it"
             );
         }
     }

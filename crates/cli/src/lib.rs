@@ -786,7 +786,12 @@ fn cmd_bench_report(flags: &Flags) -> Result<(), CliError> {
                         "median_ns".to_string(),
                         Json::f64((r.ns_per_iter * 100.0).round() / 100.0),
                     ),
+                    (
+                        "iqr_ns".to_string(),
+                        Json::f64((r.iqr_ns * 100.0).round() / 100.0),
+                    ),
                     ("iters".to_string(), Json::u64(r.iters)),
+                    ("samples".to_string(), Json::u64(r.samples as u64)),
                     ("git_rev".to_string(), Json::str(&rev)),
                 ]),
             )
@@ -1303,7 +1308,9 @@ mpki 12
                 entry.get("median_ns").and_then(|v| v.as_f64()).unwrap() > 0.0,
                 "{name}"
             );
+            assert!(entry.get("iqr_ns").and_then(|v| v.as_f64()).unwrap() >= 0.0);
             assert!(entry.get("iters").and_then(|v| v.as_u64()).unwrap() > 0);
+            assert!(entry.get("samples").and_then(|v| v.as_u64()).unwrap() >= 5);
             assert!(entry.get("git_rev").and_then(|v| v.as_str()).is_some());
         }
     }
@@ -1312,7 +1319,9 @@ mpki 12
         bench::harness::Record {
             name: name.to_string(),
             ns_per_iter,
+            iqr_ns: 0.0,
             iters: 1,
+            samples: 5,
         }
     }
 

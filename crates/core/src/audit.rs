@@ -13,7 +13,8 @@
 //! * [`CatAudit`] — a Collision Avoidance Table's cached length must match
 //!   its occupied slots, no tag may be resident twice, and every resident
 //!   tag must sit in one of the two sets its keyed hashes select (§6.1) —
-//!   a misplaced tag would be unfindable and silently leak a slot.
+//!   a misplaced tag would be unfindable and silently leak a slot. Where a
+//!   set-index memo covers a resident tag, its word must hold those sets.
 //!
 //! In debug builds the mutating operations of [`RowIndirectionTable`]
 //! invoke their audit automatically (sampled, so property tests stay
@@ -85,11 +86,11 @@ pub enum AuditError {
         /// Set the table's hash actually selects for this tag.
         expected_set: usize,
     },
-    /// The CAT's flat lookup index disagrees with an authoritative two-set
-    /// scan for a resident tag — the hot-path lookup and the slot arrays
-    /// have diverged.
-    CatIndexIncoherent {
-        /// The tag the index mishandles.
+    /// The set-index memo's word for a resident tag is unfilled or does
+    /// not decode to the tag's keyed-hash sets: lookups would read an
+    /// unfilled word as "never installed" and miss the live entry.
+    CatMemoIncoherent {
+        /// The tag whose memo word is wrong.
         tag: u64,
     },
     /// A resolve-TLB line caches a value the underlying CATs contradict —
@@ -144,10 +145,10 @@ impl fmt::Display for AuditError {
                 "CAT tag {tag:#x} resides in table {table} set {set}, but hashes to set \
                  {expected_set}"
             ),
-            AuditError::CatIndexIncoherent { tag } => {
+            AuditError::CatMemoIncoherent { tag } => {
                 write!(
                     f,
-                    "CAT flat index disagrees with slot scan for tag {tag:#x}"
+                    "CAT set-index memo disagrees with the keyed hashes for tag {tag:#x}"
                 )
             }
             AuditError::RitTlbIncoherent {
@@ -241,7 +242,7 @@ impl CatAudit {
     /// # Errors
     ///
     /// Any `Cat*` variant of [`AuditError`].
-    pub fn verify<V>(cat: &Cat<V>) -> Result<(), AuditError> {
+    pub fn verify<V: Copy + Default>(cat: &Cat<V>) -> Result<(), AuditError> {
         let sets = cat.config().sets;
         let mut occupied = 0usize;
         let mut seen_tags = std::collections::BTreeSet::new();
@@ -252,7 +253,11 @@ impl CatAudit {
                     if !seen_tags.insert(tag) {
                         return Err(AuditError::CatDuplicateTag { tag });
                     }
-                    let expected_set = cat.set_of(table, tag);
+                    if !cat.memo_agrees(tag) {
+                        return Err(AuditError::CatMemoIncoherent { tag });
+                    }
+                    let (s0, s1) = cat.hashed_sets(tag);
+                    let expected_set = if table == 0 { s0 } else { s1 };
                     if expected_set != set {
                         return Err(AuditError::CatMisplacedTag {
                             tag,
@@ -269,15 +274,6 @@ impl CatAudit {
                 len: cat.len(),
                 occupied,
             });
-        }
-        // Flat-index coherence: the indexed lookup must agree with the
-        // authoritative two-set scan for every resident tag (a stale or
-        // missing index entry makes a live entry unfindable on the hot
-        // path).
-        for (tag, _) in cat.iter() {
-            if cat.locate(tag) != cat.find_by_scan(tag) {
-                return Err(AuditError::CatIndexIncoherent { tag });
-            }
         }
         Ok(())
     }

@@ -16,11 +16,9 @@
 //! (the Misra-Gries tracker replaces its minimum-count entry; the RIT evicts
 //! a random unlocked tuple).
 
-use std::cell::{RefCell, RefMut};
+use std::cell::{Cell, OnceCell};
 use std::fmt;
 use std::rc::Rc;
-
-use rrs_flat::FlatMap;
 
 use crate::prince::Prince;
 
@@ -110,7 +108,8 @@ impl CatConfig {
 
 /// Error returned when an install finds both candidate sets full and Cuckoo
 /// relocation cannot free a slot — the event Figure 9 shows to be
-/// astronomically rare with 6 extra ways.
+/// astronomically rare with 6 extra ways — or when the tag lies outside
+/// the CAT's `u32` tag domain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CatConflict {
     /// The tag that could not be installed.
@@ -129,6 +128,22 @@ impl fmt::Display for CatConflict {
 
 impl std::error::Error for CatConflict {}
 
+/// Tag of an empty slot. Stored tags are `u32` (DRAM rows are `u32`), so
+/// tags at or above `u32::MAX` lie outside the domain: installs report a
+/// [`CatConflict`] and lookups miss.
+const EMPTY: u32 = u32::MAX;
+
+/// The stored form of `tag`, or `None` if it lies outside the tag domain.
+#[inline]
+fn slot_tag(tag: u64) -> Option<u32> {
+    u32::try_from(tag).ok().filter(|&key| key != EMPTY)
+}
+
+/// Whether `tag` lies inside the tag domain every CAT can store.
+pub fn holds_tag(tag: u64) -> bool {
+    slot_tag(tag).is_some()
+}
+
 /// Largest `sets` a [`SetIndexMemo`] can hold: each table's `set + 1`
 /// takes half of a `u32` word.
 const MEMO_MAX_SETS: usize = 1 << 15;
@@ -136,23 +151,37 @@ const MEMO_MAX_SETS: usize = 1 << 15;
 /// Rows per [`SetIndexMemo`] page.
 const MEMO_PAGE_ROWS: usize = 128;
 
+/// One memo page: the words of 128 consecutive rows.
+type MemoPage = [Cell<u32>; MEMO_PAGE_ROWS];
+
+/// Both sets a memo word holds, or `None` for a word that was never
+/// filled (`0`).
+#[inline]
+fn decode_sets(word: u32) -> Option<(usize, usize)> {
+    let s0 = ((word & 0xFFFF) as usize).checked_sub(1)?;
+    let s1 = ((word >> 16) as usize).checked_sub(1)?;
+    Some((s0, s1))
+}
+
 /// Lazily filled memo of both tables' set indices for the tags `0..rows`.
 ///
 /// A CAT's set index is a pure function of its `(hash_seed, sets)` and the
 /// tag, so CATs with the same key can share one memo: every bank's tracker
 /// hashes the same rows under the same keys. Each row's word holds both
-/// tables' `set + 1` and starts at `0`, "not hashed yet"; the first
-/// [`Cat::set_of`] of a row runs the two PRINCE encryptions and fills it,
-/// and later installs read both candidate sets with one load. Words live
-/// in 128-row pages allocated on first fill, so rows that are never
-/// hashed cost no memory and building a memo costs one small allocation.
+/// tables' `set + 1` and starts at `0`, "not hashed yet"; installing a tag
+/// (or any [`Cat::set_of`]) runs the two PRINCE encryptions and fills the
+/// word, and later lookups read both candidate sets with one load. A zero
+/// word therefore proves that no CAT sharing the memo ever installed the
+/// tag, so a lookup of it misses without hashing. Words live in 128-row
+/// pages allocated on first fill, so rows that are never installed cost no
+/// memory and building a memo costs one small allocation.
 pub struct SetIndexMemo {
     hash_seed: u128,
     sets: usize,
     rows: usize,
     /// `pages[row / 128][row % 128]`: `(set₀ + 1) | (set₁ + 1) << 16`, or
     /// `0` if unhashed.
-    pages: RefCell<Vec<Option<Box<[u32; MEMO_PAGE_ROWS]>>>>,
+    pages: Box<[OnceCell<Box<MemoPage>>]>,
 }
 
 impl SetIndexMemo {
@@ -163,7 +192,9 @@ impl SetIndexMemo {
             hash_seed: config.hash_seed,
             sets: config.sets,
             rows,
-            pages: RefCell::new(vec![None; rows.div_ceil(MEMO_PAGE_ROWS)]),
+            pages: (0..rows.div_ceil(MEMO_PAGE_ROWS))
+                .map(|_| OnceCell::new())
+                .collect(),
         })
     }
 
@@ -172,17 +203,36 @@ impl SetIndexMemo {
         self.rows
     }
 
+    /// Number of words filled so far (rows hashed through the memo).
+    pub fn filled_words(&self) -> usize {
+        let pages = self.pages.iter().filter_map(OnceCell::get);
+        pages
+            .flat_map(|page| page.iter())
+            .filter(|w| w.get() != 0)
+            .count()
+    }
+
+    /// The word of `tag` without allocating: `Some(0)` if it was never
+    /// filled, `None` if the memo does not cover `tag`.
+    #[inline]
+    fn peek(&self, tag: u64) -> Option<u32> {
+        let row = usize::try_from(tag).ok().filter(|&row| row < self.rows)?;
+        let page = self.pages.get(row / MEMO_PAGE_ROWS)?;
+        Some(
+            page.get()
+                .and_then(|p| p.get(row % MEMO_PAGE_ROWS))
+                .map_or(0, Cell::get),
+        )
+    }
+
     /// The word of `tag`, allocating its page on first use; `None` if the
     /// memo does not cover `tag`.
-    fn word(&self, tag: u64) -> Option<RefMut<'_, u32>> {
+    fn word(&self, tag: u64) -> Option<&Cell<u32>> {
         let row = usize::try_from(tag).ok().filter(|&row| row < self.rows)?;
-        RefMut::filter_map(self.pages.borrow_mut(), |pages| {
-            pages
-                .get_mut(row / MEMO_PAGE_ROWS)?
-                .get_or_insert_with(|| Box::new([0; MEMO_PAGE_ROWS]))
-                .get_mut(row % MEMO_PAGE_ROWS)
-        })
-        .ok()
+        self.pages
+            .get(row / MEMO_PAGE_ROWS)?
+            .get_or_init(|| Box::new([const { Cell::new(0) }; MEMO_PAGE_ROWS]))
+            .get(row % MEMO_PAGE_ROWS)
     }
 }
 
@@ -196,16 +246,14 @@ impl fmt::Debug for SetIndexMemo {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Slot<V> {
-    tag: u64,
-    value: V,
-}
-
 /// Location of an entry inside the CAT: `(table, set, way)`.
 pub type SlotIndex = (usize, usize, usize);
 
 /// The Collision Avoidance Table.
+///
+/// Each table is a `u32` tag array beside a value array, both laid out
+/// `[set * ways + way]`; a lookup scans the tag runs of the entry's two
+/// candidate sets.
 ///
 /// # Example
 ///
@@ -225,13 +273,11 @@ pub type SlotIndex = (usize, usize, usize);
 pub struct Cat<V> {
     config: CatConfig,
     hashers: [Prince; 2],
-    /// `tables[t][set * ways + way]`.
-    tables: [Vec<Option<Slot<V>>>; 2],
-    /// Tag → packed `(table, set, way)` mirror of the slot arrays, so a
-    /// lookup costs one flat-map probe instead of two PRINCE hashes plus a
-    /// 2 × ways scan. Hits verify against the authoritative slot tag; the
-    /// slot arrays remain the source of truth.
-    index: FlatMap<u64>,
+    /// `tags[t][set * ways + way]`: the resident tag, or [`EMPTY`].
+    tags: [Vec<u32>; 2],
+    /// `values[t][set * ways + way]`: meaningful only where the tag is not
+    /// [`EMPTY`].
+    values: [Vec<V>; 2],
     /// `occupied[table][set]`: valid-slot count of the set, kept exact on
     /// every place/take so install-time occupancy checks are O(1) instead
     /// of a `ways`-slot scan per candidate set.
@@ -243,24 +289,7 @@ pub struct Cat<V> {
     memo: Option<Rc<SetIndexMemo>>,
 }
 
-/// Packs a [`SlotIndex`] into one word for the lookup index (`set` and
-/// `way` are bounded far below 2²⁴ by any constructible config).
-#[inline]
-fn pack_loc((table, set, way): SlotIndex) -> u64 {
-    ((table as u64) << 48) | ((set as u64) << 24) | way as u64
-}
-
-/// Inverse of [`pack_loc`].
-#[inline]
-fn unpack_loc(packed: u64) -> SlotIndex {
-    (
-        (packed >> 48) as usize,
-        ((packed >> 24) & 0xFF_FFFF) as usize,
-        (packed & 0xFF_FFFF) as usize,
-    )
-}
-
-impl<V> Cat<V> {
+impl<V: Copy + Default> Cat<V> {
     /// Creates an empty CAT.
     ///
     /// # Panics
@@ -272,18 +301,17 @@ impl<V> Cat<V> {
             "CAT sets must be a power of two"
         );
         let slots_per_table = config.sets * config.ways();
-        let mut t0 = Vec::with_capacity(slots_per_table);
-        let mut t1 = Vec::with_capacity(slots_per_table);
-        t0.resize_with(slots_per_table, || None);
-        t1.resize_with(slots_per_table, || None);
         Cat {
             config,
             hashers: [
                 Prince::new(config.hash_seed ^ 0x0123_4567_89ab_cdef),
                 Prince::new(config.hash_seed ^ 0xfedc_ba98_7654_3210_0000_0000_0000_0001),
             ],
-            tables: [t0, t1],
-            index: FlatMap::new(),
+            tags: [vec![EMPTY; slots_per_table], vec![EMPTY; slots_per_table]],
+            values: [
+                vec![V::default(); slots_per_table],
+                vec![V::default(); slots_per_table],
+            ],
             occupied: [vec![0; config.sets], vec![0; config.sets]],
             len: 0,
             relocations: 0,
@@ -292,17 +320,24 @@ impl<V> Cat<V> {
     }
 
     /// Serves [`Cat::set_of`] for the tags `0..memo.rows()` from `memo`,
-    /// which may be shared with other CATs of the same key.
+    /// which may be shared with other CATs of the same key. Lookups then
+    /// run no PRINCE encryption for those tags.
     ///
     /// # Panics
     ///
     /// Panics if the memo was built for a different `(hash_seed, sets)`:
-    /// its set indices would not be this CAT's.
+    /// its set indices would not be this CAT's. Panics if the CAT holds
+    /// entries: their words might be unfilled, and a lookup reads an
+    /// unfilled word as "never installed".
     pub fn attach_set_memo(&mut self, memo: Rc<SetIndexMemo>) {
         assert_eq!(
             (memo.hash_seed, memo.sets),
             (self.config.hash_seed, self.config.sets),
             "set-index memo keyed for a different CAT"
+        );
+        assert!(
+            self.is_empty(),
+            "set-index memo attached to a non-empty CAT"
         );
         self.memo = Some(memo);
     }
@@ -350,20 +385,31 @@ impl<V> Cat<V> {
     /// Both candidate sets of `tag`: from the memo when it covers `tag`
     /// (hashing and filling it on the row's first use), else by PRINCE.
     fn sets_of(&self, tag: u64) -> (usize, usize) {
-        let Some(mut word) = self.memo.as_ref().and_then(|memo| memo.word(tag)) else {
-            return self.hash_sets(tag);
+        let Some(word) = self.memo.as_ref().and_then(|memo| memo.word(tag)) else {
+            return self.hashed_sets(tag);
         };
-        if *word != 0 {
-            return ((*word & 0xFFFF) as usize - 1, (*word >> 16) as usize - 1);
+        if let Some(sets) = decode_sets(word.get()) {
+            return sets;
         }
-        let (s0, s1) = self.hash_sets(tag);
+        let (s0, s1) = self.hashed_sets(tag);
         // Both halves fit: `SetIndexMemo::new` caps `sets` at `MEMO_MAX_SETS`.
-        *word = u32::try_from((s0 + 1) | (s1 + 1) << 16).unwrap_or(0);
+        word.set(u32::try_from((s0 + 1) | (s1 + 1) << 16).unwrap_or(0));
         (s0, s1)
     }
 
+    /// The candidate sets a lookup scans: `None` when the memo covers
+    /// `tag` and its word is unfilled, because then no CAT sharing the
+    /// memo ever installed it. Never fills a word.
+    #[inline]
+    fn lookup_sets(&self, tag: u64) -> Option<(usize, usize)> {
+        match self.memo.as_ref().and_then(|memo| memo.peek(tag)) {
+            Some(word) => decode_sets(word),
+            None => Some(self.hashed_sets(tag)),
+        }
+    }
+
     /// Both candidate sets of `tag`, computed by the two keyed PRINCE hashes.
-    fn hash_sets(&self, tag: u64) -> (usize, usize) {
+    pub(crate) fn hashed_sets(&self, tag: u64) -> (usize, usize) {
         let mask = self.config.sets - 1;
         (
             (self.hashers[0].encrypt(tag) as usize) & mask,
@@ -371,21 +417,20 @@ impl<V> Cat<V> {
         )
     }
 
-    /// The slot storage of table `t`.
-    fn table(&self, table: usize) -> &[Option<Slot<V>>] {
-        if table == 0 {
-            &self.tables[0]
-        } else {
-            &self.tables[1]
+    /// Whether the memo agrees with PRINCE on `tag`: vacuously true when
+    /// no memo covers it, else its word must be filled with the hashed
+    /// sets. The ghost-state audit requires this of every resident tag.
+    pub(crate) fn memo_agrees(&self, tag: u64) -> bool {
+        match self.memo.as_ref().and_then(|memo| memo.peek(tag)) {
+            Some(word) => decode_sets(word) == Some(self.hashed_sets(tag)),
+            None => true,
         }
     }
 
-    fn table_mut(&mut self, table: usize) -> &mut Vec<Option<Slot<V>>> {
-        if table == 0 {
-            &mut self.tables[0]
-        } else {
-            &mut self.tables[1]
-        }
+    /// Index of `(set, way)` in a table's slot arrays.
+    #[inline]
+    fn slot(&self, set: usize, way: usize) -> usize {
+        set * self.config.ways() + way
     }
 
     fn slot_range(&self, set: usize) -> std::ops::Range<usize> {
@@ -393,46 +438,37 @@ impl<V> Cat<V> {
         set * w..(set + 1) * w
     }
 
-    /// The `D + E` slots of one set (empty slice for an out-of-range set,
+    /// The `D + E` tags of one set (empty slice for an out-of-range set,
     /// which no in-range hash ever produces).
-    fn set_slots(&self, table: usize, set: usize) -> &[Option<Slot<V>>] {
-        self.table(table).get(self.slot_range(set)).unwrap_or(&[])
-    }
-
-    fn set_slots_mut(&mut self, table: usize, set: usize) -> &mut [Option<Slot<V>>] {
+    #[inline]
+    fn set_tags(&self, table: usize, set: usize) -> &[u32] {
         let range = self.slot_range(set);
-        self.table_mut(table).get_mut(range).unwrap_or(&mut [])
+        self.tags
+            .get(table)
+            .and_then(|tags| tags.get(range))
+            .unwrap_or(&[])
     }
 
-    /// Locates `tag` through the flat index — zero hashes on the common
-    /// path. The indexed location is verified against the slot's own tag,
-    /// so a stale or corrupted index entry reads as a miss, exactly like
-    /// the original two-set scan.
+    /// Tag and value of one slot, exclusively borrowed.
+    fn slot_mut(&mut self, table: usize, slot: usize) -> Option<(&mut u32, &mut V)> {
+        let tag = self.tags.get_mut(table)?.get_mut(slot)?;
+        let value = self.values.get_mut(table)?.get_mut(slot)?;
+        Some((tag, value))
+    }
+
+    /// Locates `tag` by scanning the tags of its two candidate sets. An
+    /// empty CAT (an RIT with no swaps) answers without reading its memo.
+    #[inline]
     fn find(&self, tag: u64) -> Option<SlotIndex> {
-        let (t, set, way) = unpack_loc(*self.index.get(tag)?);
-        let slot = self.set_slots(t, set).get(way)?.as_ref()?;
-        if slot.tag == tag {
+        if self.len == 0 {
+            return None;
+        }
+        let key = slot_tag(tag)?;
+        let (s0, s1) = self.lookup_sets(tag)?;
+        [(0, s0), (1, s1)].into_iter().find_map(|(t, set)| {
+            let way = self.set_tags(t, set).iter().position(|&k| k == key)?;
             Some((t, set, way))
-        } else {
-            None
-        }
-    }
-
-    /// The pre-index lookup: hash into both candidate sets and scan their
-    /// ways. Kept as the differential reference for the index
-    /// ([`crate::audit::CatAudit`] and the property tests compare against
-    /// it).
-    #[doc(hidden)]
-    pub fn find_by_scan(&self, tag: u64) -> Option<SlotIndex> {
-        let (s0, s1) = self.sets_of(tag);
-        for (t, set) in [(0, s0), (1, s1)] {
-            for (way, slot) in self.set_slots(t, set).iter().enumerate() {
-                if slot.as_ref().is_some_and(|s| s.tag == tag) {
-                    return Some((t, set, way));
-                }
-            }
-        }
-        None
+        })
     }
 
     /// Whether `tag` is present.
@@ -450,7 +486,7 @@ impl<V> Cat<V> {
     /// Shared reference to the value stored for `tag`.
     pub fn get(&self, tag: u64) -> Option<&V> {
         let (t, set, way) = self.find(tag)?;
-        self.set_slots(t, set).get(way)?.as_ref().map(|s| &s.value)
+        self.values.get(t)?.get(self.slot(set, way))
     }
 
     /// Exclusive reference to the value stored for `tag`.
@@ -459,12 +495,13 @@ impl<V> Cat<V> {
     }
 
     /// Location of `tag` together with its value, exclusively borrowed:
-    /// one index probe for clients that update the value and then repair
+    /// one lookup for clients that update the value and then repair
     /// per-set metadata (the tracker's hit path).
     pub fn locate_mut(&mut self, tag: u64) -> Option<(SlotIndex, &mut V)> {
-        let (t, set, way) = unpack_loc(*self.index.get(tag)?);
-        let slot = self.set_slots_mut(t, set).get_mut(way)?.as_mut()?;
-        (slot.tag == tag).then_some(((t, set, way), &mut slot.value))
+        let (t, set, way) = self.find(tag)?;
+        let slot = self.slot(set, way);
+        let value = self.values.get_mut(t)?.get_mut(slot)?;
+        Some(((t, set, way), value))
     }
 
     fn invalid_ways_in(&self, table: usize, set: usize) -> usize {
@@ -477,9 +514,9 @@ impl<V> Cat<V> {
         let invalid = self.config.ways().saturating_sub(valid);
         debug_assert_eq!(
             invalid,
-            self.set_slots(table, set)
+            self.set_tags(table, set)
                 .iter()
-                .filter(|s| s.is_none())
+                .filter(|&&k| k == EMPTY)
                 .count(),
             "occupancy counter out of sync with the slot array"
         );
@@ -501,13 +538,15 @@ impl<V> Cat<V> {
     /// # Errors
     ///
     /// Returns [`CatConflict`] if both candidate sets are physically full
-    /// and single-depth Cuckoo relocation cannot make room.
+    /// and single-depth Cuckoo relocation cannot make room, or if `tag`
+    /// lies outside the `u32` tag domain.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if `tag` is already present (callers must use
     /// [`Cat::get_mut`] to update existing entries).
     pub fn insert(&mut self, tag: u64, value: V) -> Result<SlotIndex, CatConflict> {
+        let key = slot_tag(tag).ok_or(CatConflict { tag })?;
         debug_assert!(!self.contains(tag), "duplicate CAT install of {tag:#x}");
         let (s0, s1) = self.sets_of(tag);
         let inv0 = self.invalid_ways_in(0, s0);
@@ -519,11 +558,11 @@ impl<V> Cat<V> {
             // alternate set in the other table.
             if let Some((t, set)) = self.try_relocate(s0, s1) {
                 self.relocations += 1;
-                return self.place(t, set, tag, value).ok_or(CatConflict { tag });
+                return self.place(t, set, key, value).ok_or(CatConflict { tag });
             }
             return Err(CatConflict { tag });
         }
-        self.place(table, set, tag, value)
+        self.place(table, set, key, value)
             .ok_or(CatConflict { tag })
     }
 
@@ -531,39 +570,33 @@ impl<V> Cat<V> {
         for (t, set) in [(0, s0), (1, s1)] {
             let other = 1 - t;
             for way in 0..self.config.ways() {
-                let resident_tag = match self.set_slots(t, set).get(way) {
-                    Some(Some(s)) => s.tag,
+                let resident = match self.set_tags(t, set).get(way) {
+                    Some(&k) if k != EMPTY => k,
                     _ => continue,
                 };
-                let alt_set = self.set_of(other, resident_tag);
+                let alt_set = self.set_of(other, u64::from(resident));
                 if self.invalid_ways_in(other, alt_set) > 0 {
-                    let taken = self
-                        .set_slots_mut(t, set)
-                        .get_mut(way)
-                        .and_then(|s| s.take());
-                    if let Some(slot) = taken {
-                        self.bump_occupied(t, set, -1);
-                        self.len -= 1;
-                        // The alternate set was just checked to have room,
-                        // so this place() cannot fail.
-                        self.place(other, alt_set, slot.tag, slot.value)?;
-                        return Some((t, set));
-                    }
+                    let value = self.take(t, set, way)?;
+                    // The alternate set was just checked to have room,
+                    // so this place() cannot fail.
+                    self.place(other, alt_set, resident, value)?;
+                    return Some((t, set));
                 }
             }
         }
         None
     }
 
-    /// Writes `tag -> value` into the first free way of `(table, set)`, or
+    /// Writes `key -> value` into the first free way of `(table, set)`, or
     /// returns `None` (without storing) if the set is physically full —
     /// callers check occupancy first, so `None` means a caller bug and
     /// surfaces as a [`CatConflict`] rather than a panic.
-    fn place(&mut self, table: usize, set: usize, tag: u64, value: V) -> Option<SlotIndex> {
-        let slots = self.set_slots_mut(table, set);
-        let way = slots.iter().position(|s| s.is_none())?;
-        *slots.get_mut(way)? = Some(Slot { tag, value });
-        self.index.insert(tag, pack_loc((table, set, way)));
+    fn place(&mut self, table: usize, set: usize, key: u32, value: V) -> Option<SlotIndex> {
+        let way = self.set_tags(table, set).iter().position(|&k| k == EMPTY)?;
+        let slot = self.slot(set, way);
+        let (tag, stored) = self.slot_mut(table, slot)?;
+        *tag = key;
+        *stored = value;
         self.bump_occupied(table, set, 1);
         self.len += 1;
         Some((table, set, way))
@@ -575,26 +608,32 @@ impl<V> Cat<V> {
     }
 
     /// Removes `tag`, returning its (former) location together with its
-    /// value — one index probe instead of the `locate` + `remove` pair
-    /// callers that repair per-set metadata would otherwise pay.
+    /// value — one lookup instead of the `locate` + `remove` pair callers
+    /// that repair per-set metadata would otherwise pay.
     pub fn remove_entry(&mut self, tag: u64) -> Option<(SlotIndex, V)> {
         let (t, set, way) = self.find(tag)?;
-        let slot = self.set_slots_mut(t, set).get_mut(way)?.take()?;
-        self.index.remove(tag);
-        self.bump_occupied(t, set, -1);
-        self.len -= 1;
-        Some(((t, set, way), slot.value))
+        self.take(t, set, way).map(|value| ((t, set, way), value))
     }
 
-    /// The slots and occupancy counter of every non-empty set, in slot
-    /// order; empty sets are skipped without reading their slots.
-    fn occupied_sets_mut(&mut self) -> impl Iterator<Item = (&mut [Option<Slot<V>>], &mut u8)> {
-        let ways = self.config.ways().max(1);
-        self.tables
-            .iter_mut()
-            .zip(&mut self.occupied)
-            .flat_map(move |(slots, occupied)| slots.chunks_mut(ways).zip(occupied))
-            .filter(|(_, occ)| **occ > 0)
+    /// Removes `tag` from set `set` of table `table`, returning its value;
+    /// `None` if it is not resident there. Clients that found the entry by
+    /// walking that set (the tracker's eviction) skip the lookup of its
+    /// candidate sets.
+    pub fn remove_in_set(&mut self, table: usize, set: usize, tag: u64) -> Option<V> {
+        let key = slot_tag(tag)?;
+        let way = self.set_tags(table, set).iter().position(|&k| k == key)?;
+        self.take(table, set, way)
+    }
+
+    /// Empties slot `(table, set, way)`, returning the value it held.
+    fn take(&mut self, t: usize, set: usize, way: usize) -> Option<V> {
+        let slot = self.slot(set, way);
+        let (stored, value) = self.slot_mut(t, slot)?;
+        *stored = EMPTY;
+        let value = *value;
+        self.bump_occupied(t, set, -1);
+        self.len -= 1;
+        Some(value)
     }
 
     /// Removes every entry.
@@ -602,35 +641,52 @@ impl<V> Cat<V> {
         if self.len == 0 {
             return;
         }
-        for (set, occ) in self.occupied_sets_mut() {
-            set.iter_mut().for_each(|s| *s = None);
-            *occ = 0;
+        let ways = self.config.ways().max(1);
+        for (tags, occupied) in self.tags.iter_mut().zip(&mut self.occupied) {
+            for (set, occ) in tags.chunks_mut(ways).zip(occupied) {
+                if *occ > 0 {
+                    set.fill(EMPTY);
+                    *occ = 0;
+                }
+            }
         }
-        self.index.clear();
         self.len = 0;
     }
 
-    /// Every value, exclusively borrowed, in slot order. Tags and placement
-    /// are untouched, so the index stays coherent.
+    /// Every value, exclusively borrowed, in slot order; sets whose
+    /// occupancy counter is zero are skipped without reading their tags.
+    /// Tags and placement are untouched.
     pub fn values_mut(&mut self) -> impl Iterator<Item = &mut V> + '_ {
-        self.occupied_sets_mut()
-            .flat_map(|(set, _)| set.iter_mut())
-            .filter_map(|s| s.as_mut().map(|s| &mut s.value))
+        let ways = self.config.ways().max(1);
+        self.tags
+            .iter()
+            .zip(&mut self.values)
+            .zip(&self.occupied)
+            .flat_map(move |((tags, values), occupied)| {
+                tags.chunks(ways).zip(values.chunks_mut(ways)).zip(occupied)
+            })
+            .filter(|(_, &occ)| occ > 0)
+            .flat_map(|((tags, values), _)| tags.iter().zip(values))
+            .filter_map(|(&k, value)| (k != EMPTY).then_some(value))
     }
 
     /// Iterates over `(tag, &value)` in an arbitrary but deterministic order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &V)> + '_ {
-        self.tables
+        self.tags
             .iter()
-            .flat_map(|t| t.iter())
-            .filter_map(|s| s.as_ref().map(|s| (s.tag, &s.value)))
+            .zip(&self.values)
+            .flat_map(|(tags, values)| tags.iter().zip(values))
+            .filter_map(resident)
     }
 
     /// Iterates over the entries of one set of one table.
     pub fn set_iter(&self, table: usize, set: usize) -> impl Iterator<Item = (u64, &V)> + '_ {
-        self.set_slots(table, set)
+        let range = self.slot_range(set);
+        let values = self.values.get(table).and_then(|v| v.get(range));
+        self.set_tags(table, set)
             .iter()
-            .filter_map(|s| s.as_ref().map(|s| (s.tag, &s.value)))
+            .zip(values.unwrap_or(&[]))
+            .filter_map(resident)
     }
 
     /// Test-only corruption: inflates the cached length without touching
@@ -642,26 +698,24 @@ impl<V> Cat<V> {
 
     /// Test-only corruption: rewrites the tag of the first occupied slot in
     /// place (bypassing the keyed hashes), so the entry becomes unfindable.
-    /// Returns `false` if the CAT is empty.
+    /// Returns `false` if the CAT is empty or `new_tag` lies outside the
+    /// tag domain.
     #[doc(hidden)]
     pub fn corrupt_first_tag_for_test(&mut self, new_tag: u64) -> bool {
-        for t in &mut self.tables {
-            for s in t.iter_mut() {
-                if let Some(slot) = s.as_mut() {
-                    slot.tag = new_tag;
-                    return true;
-                }
-            }
-        }
-        false
+        let Some(key) = slot_tag(new_tag) else {
+            return false;
+        };
+        let first = self.tags.iter_mut().flatten().find(|k| **k != EMPTY);
+        first.map(|k| *k = key).is_some()
     }
 
-    /// Test-only corruption: drops `tag` from the flat lookup index while
-    /// leaving its slot resident, so the index-coherence audit must flag
-    /// the divergence. Returns `false` if `tag` was not indexed.
+    /// Test-only corruption: overwrites the memo word of `tag` with `word`
+    /// (`0` reads as "never installed"), so the memo-coherence audit must
+    /// flag a resident `tag`. Returns `false` if no memo covers `tag`.
     #[doc(hidden)]
-    pub fn corrupt_index_for_test(&mut self, tag: u64) -> bool {
-        self.index.remove(tag).is_some()
+    pub fn corrupt_memo_for_test(&mut self, tag: u64, word: u32) -> bool {
+        let cell = self.memo.as_ref().and_then(|memo| memo.word(tag));
+        cell.map(|cell| cell.set(word)).is_some()
     }
 
     /// Picks the `n`-th valid entry in slot order, wrapping around; `None`
@@ -680,14 +734,25 @@ impl<V> Cat<V> {
     /// before it; the walk then wraps around the slot arrays.
     pub fn iter_from(&self, n: usize) -> impl Iterator<Item = (u64, &V)> + '_ {
         let (table, slot) = self.nth_slot(n).unwrap_or((0, 0));
-        let [t0, t1] = &self.tables;
-        let (first, second) = if table == 0 { (t0, t1) } else { (t1, t0) };
-        let (before, after) = first.split_at_checked(slot).unwrap_or((&[], first));
-        after
+        let [t0, t1] = &self.tags;
+        let [v0, v1] = &self.values;
+        let ((first_tags, first_values), second) = if table == 0 {
+            ((t0, v0), (t1, v1))
+        } else {
+            ((t1, v1), (t0, v0))
+        };
+        let (before_tags, after_tags) = first_tags
+            .split_at_checked(slot)
+            .unwrap_or((&[], first_tags));
+        let (before_values, after_values) = first_values
+            .split_at_checked(slot)
+            .unwrap_or((&[], first_values));
+        after_tags
             .iter()
-            .chain(second)
-            .chain(before)
-            .filter_map(|s| s.as_ref().map(|s| (s.tag, &s.value)))
+            .zip(after_values)
+            .chain(second.0.iter().zip(second.1))
+            .chain(before_tags.iter().zip(before_values))
+            .filter_map(resident)
     }
 
     /// `(table, slot)` of the `n`-th entry in slot order, or `None` if
@@ -699,18 +764,24 @@ impl<V> Cat<V> {
                 let occ = usize::from(occ);
                 if left < occ {
                     let (way, _) = self
-                        .set_slots(table, set)
+                        .set_tags(table, set)
                         .iter()
                         .enumerate()
-                        .filter(|(_, s)| s.is_some())
+                        .filter(|(_, &k)| k != EMPTY)
                         .nth(left)?;
-                    return Some((table, self.slot_range(set).start + way));
+                    return Some((table, self.slot(set, way)));
                 }
                 left -= occ;
             }
         }
         None
     }
+}
+
+/// `(tag, &value)` of an occupied slot, `None` for an empty one.
+#[inline]
+fn resident<'a, V>((&key, value): (&u32, &'a V)) -> Option<(u64, &'a V)> {
+    (key != EMPTY).then_some((u64::from(key), value))
 }
 
 #[cfg(test)]
@@ -870,56 +941,54 @@ mod tests {
     }
 
     #[test]
-    fn index_agrees_with_scan_under_churn() {
-        // Heavy insert/remove churn, including Cuckoo relocations: the flat
-        // index must agree with the authoritative two-set scan on every
-        // lookup, hit or miss.
-        let mut cat: Cat<u64> = Cat::new(CatConfig {
-            sets: 4,
-            demand_ways: 2,
-            extra_ways: 1,
-            hash_seed: 99,
-        });
-        let mut x = 0x1234_5678u64;
-        for step in 0..20_000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-            let tag = (x >> 33) % 64;
-            if cat.contains(tag) {
-                assert_eq!(cat.remove(tag), Some(tag), "step {step}");
-            } else {
-                let _ = cat.insert(tag, tag);
-            }
-            for probe in 0..64u64 {
-                assert_eq!(
-                    cat.locate(probe),
-                    cat.find_by_scan(probe),
-                    "step {step}, probe {probe}"
-                );
-            }
-        }
-        assert!(cat.relocations() > 0, "churn never exercised relocation");
-    }
-
-    #[test]
     fn memo_serves_rows_and_hashes_tags_beyond_them() {
         let plain = small();
         let mut memoized = small();
         let memo = Rc::new(SetIndexMemo::new(memoized.config(), 16).expect("8 sets fit"));
         memoized.attach_set_memo(Rc::clone(&memo));
         assert_eq!(memo.rows(), 16);
-        let filled_words = || {
-            let pages = memo.pages.borrow();
-            let words = pages.iter().flatten().flat_map(|page| page.iter());
-            words.filter(|&&w| w != 0).count()
-        };
-        assert_eq!(filled_words(), 0);
+        assert_eq!(memo.filled_words(), 0);
         for tag in [3u64, 3, 15, 16, 1 << 40] {
             for table in 0..2 {
                 assert_eq!(memoized.set_of(table, tag), plain.set_of(table, tag));
             }
         }
         // Rows 3 and 15 were filled; tags at or above `rows` never are.
-        assert_eq!(filled_words(), 2);
+        assert_eq!(memo.filled_words(), 2);
+    }
+
+    #[test]
+    fn lookups_of_unfilled_rows_miss_without_filling() -> Result<(), CatConflict> {
+        let mut cat = small();
+        let memo = Rc::new(SetIndexMemo::new(cat.config(), 64).expect("8 sets fit"));
+        cat.attach_set_memo(Rc::clone(&memo));
+        cat.insert(5, 50)?;
+        assert_eq!(memo.filled_words(), 1);
+        for tag in 0..64u64 {
+            assert_eq!(cat.get(tag).copied(), (tag == 5).then_some(50));
+        }
+        assert_eq!(memo.filled_words(), 1, "a miss filled a memo word");
+        Ok(())
+    }
+
+    #[test]
+    fn tags_outside_the_u32_domain_conflict_and_miss() {
+        let mut cat = small();
+        for tag in [u64::from(u32::MAX), 1 << 32, u64::MAX] {
+            assert_eq!(cat.insert(tag, 1), Err(CatConflict { tag }));
+            assert!(!cat.contains(tag));
+            assert_eq!(cat.remove(tag), None);
+        }
+        assert!(cat.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "non-empty CAT")]
+    fn memo_attached_to_a_populated_cat_panics() {
+        let mut cat = small();
+        cat.insert(1, 1).expect("an empty CAT has room");
+        let memo = SetIndexMemo::new(cat.config(), 16).expect("8 sets fit");
+        cat.attach_set_memo(Rc::new(memo));
     }
 
     #[test]

@@ -21,10 +21,11 @@
 
 use std::cell::Cell;
 use std::fmt;
+use std::rc::Rc;
 
 use rrs_telemetry::{Counter, Telemetry};
 
-use crate::cat::{Cat, CatConfig};
+use crate::cat::{holds_tag, Cat, CatConfig, SetIndexMemo};
 
 /// Entries per resolve-TLB direction (direct-mapped, power of two).
 const TLB_ENTRIES: usize = 1024;
@@ -137,7 +138,7 @@ impl fmt::Display for RitError {
 
 impl std::error::Error for RitError {}
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct ForwardEntry {
     pub(crate) physical: u64,
     pub(crate) locked: bool,
@@ -150,7 +151,7 @@ pub(crate) struct ForwardEntry {
 /// ```
 /// use rrs_core::rit::RowIndirectionTable;
 ///
-/// let mut rit = RowIndirectionTable::new(16, 0x5EED);
+/// let mut rit = RowIndirectionTable::new(16, 1 << 17, 0x5EED);
 /// rit.swap(10, 20)?;
 /// assert_eq!(rit.resolve(10), 20);
 /// assert_eq!(rit.occupant(10), 20);
@@ -171,9 +172,12 @@ pub struct RowIndirectionTable {
 }
 
 impl RowIndirectionTable {
-    /// Creates an RIT with the given displaced-row (tuple) capacity,
-    /// shaping each direction's CAT with the paper's 6 extra ways.
-    pub fn new(tuple_capacity: usize, hash_seed: u128) -> Self {
+    /// Creates an RIT with the given displaced-row (tuple) capacity for a
+    /// bank of `rows` rows, shaping each direction's CAT with the paper's
+    /// 6 extra ways. Each direction memoizes the set indices of the rows
+    /// `0..rows` privately (its keys are the bank's own), so lookups of
+    /// bank rows run no PRINCE encryption.
+    pub fn new(tuple_capacity: usize, rows: u64, hash_seed: u128) -> Self {
         let fwd_cfg = CatConfig::for_capacity(tuple_capacity.max(1), 14, 6).with_seed(hash_seed);
         let rev_cfg = CatConfig::for_capacity(tuple_capacity.max(1), 14, 6)
             .with_seed(hash_seed ^ 0x0052_4556_4552_5345_u128); // "REVERSE" tag
@@ -181,8 +185,8 @@ impl RowIndirectionTable {
                                                                 // wants them on its registry calls `attach_telemetry`.
         let telemetry = Telemetry::new();
         RowIndirectionTable {
-            forward: Cat::new(fwd_cfg),
-            reverse: Cat::new(rev_cfg),
+            forward: memoized_cat(fwd_cfg, rows),
+            reverse: memoized_cat(rev_cfg, rows),
             tuple_capacity,
             tlb_fwd: ResolveTlb::new(
                 telemetry.counter("rit.tlb.hits"),
@@ -386,6 +390,11 @@ impl RowIndirectionTable {
         if x == y {
             return Err(RitError::DegenerateSwap(x));
         }
+        if !holds_tag(x) || !holds_tag(y) {
+            // A row outside the CATs' tag domain can never be recorded;
+            // refuse before touching either direction.
+            return Err(RitError::TableConflict);
+        }
         let px = self.resolve(x);
         let py = self.resolve(y);
         // Worst case this creates two new displaced rows.
@@ -490,13 +499,26 @@ impl RowIndirectionTable {
     }
 }
 
+/// An empty CAT shaped `config` with a private set-index memo over the
+/// rows `0..rows` (none if the shape does not fit a memo word).
+fn memoized_cat<V: Copy + Default>(config: CatConfig, rows: u64) -> Cat<V> {
+    let mut cat = Cat::new(config);
+    let memo = usize::try_from(rows)
+        .ok()
+        .and_then(|rows| SetIndexMemo::new(&config, rows));
+    if let Some(memo) = memo {
+        cat.attach_set_memo(Rc::new(memo));
+    }
+    cat
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::audit::RitAudit;
 
     fn rit(cap: usize) -> RowIndirectionTable {
-        RowIndirectionTable::new(cap, 0xABCD)
+        RowIndirectionTable::new(cap, 1 << 17, 0xABCD)
     }
 
     #[test]

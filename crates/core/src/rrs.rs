@@ -197,7 +197,11 @@ impl<T: HotRowTracker> BankRrs<T> {
         BankRrs {
             config,
             tracker,
-            rit: RowIndirectionTable::new(config.rit_tuples, seed ^ RIT_SEED_TAG),
+            rit: RowIndirectionTable::new(
+                config.rit_tuples,
+                config.rows_per_bank,
+                seed ^ RIT_SEED_TAG,
+            ),
             prng: PrinceCtrRng::new(seed),
             detector: config.detector.map(SwapDetector::new),
             stats: BankRrsStats::default(),

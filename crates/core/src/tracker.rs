@@ -26,7 +26,7 @@ use std::rc::Rc;
 use rrs_flat::FlatMap;
 use rrs_telemetry::{Counter, Event, Telemetry};
 
-use crate::cat::{Cat, CatConfig, SetIndexMemo, TRACKER_HASH_SEED};
+use crate::cat::{Cat, CatConfig, CatConflict, SetIndexMemo, TRACKER_HASH_SEED};
 
 /// What the tracker concluded about one activation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -219,7 +219,10 @@ impl HotRowTracker for CamTracker {
 #[derive(Debug, Clone)]
 pub struct CatTracker {
     config: TrackerConfig,
-    cat: Cat<u64>,
+    /// Row → count. A count is at most one epoch of one bank's activations
+    /// (`ACT_max`), far below `u32::MAX`; a count that would not fit
+    /// leaves the table for the spill counter like a CAT conflict.
+    cat: Cat<u32>,
     /// `set_min[table][set]`: minimum counter among valid entries of the
     /// set, `u64::MAX` when the set is empty. "On access, install, and
     /// invalidation in a set, the SetMin is recomputed" (§6.4).
@@ -304,7 +307,7 @@ impl CatTracker {
         let m = self
             .cat
             .set_iter(table, set)
-            .map(|(_, &c)| c)
+            .map(|(_, &c)| u64::from(c))
             .min()
             .unwrap_or(u64::MAX);
         self.write_set_min(table, set, m);
@@ -424,8 +427,9 @@ impl CatTracker {
                 if first_at_min.is_none() {
                     first_at_min = Some((t, s));
                 }
-                if let Some((tag, _)) = self.cat.set_iter(t, s).find(|(_, &c)| c == min) {
-                    victim = Some(tag);
+                if let Some((tag, _)) = self.cat.set_iter(t, s).find(|(_, &c)| u64::from(c) == min)
+                {
+                    victim = Some((t, s, tag));
                     break 'scan;
                 }
             }
@@ -437,11 +441,13 @@ impl CatTracker {
                 self.min_scan_hint = pos;
             }
         }
-        let Some(tag) = victim else { return false };
-        let Some((loc, _)) = self.cat.remove_entry(tag) else {
+        let Some((t, s, tag)) = victim else {
             return false;
         };
-        self.recompute_set_min(loc.0, loc.1);
+        if self.cat.remove_in_set(t, s, tag).is_none() {
+            return false;
+        }
+        self.recompute_set_min(t, s);
         self.evicts.inc();
         if self.telemetry.tracing() {
             self.telemetry.emit(Event::HrtEvict {
@@ -465,10 +471,13 @@ impl CatTracker {
     /// Installs an entry; on the (designed-away) CAT conflict the tracker
     /// degrades gracefully: the access is absorbed by the spill counter,
     /// preserving the Misra-Gries over-estimation invariant (the spill
-    /// counter over-approximates every untracked row).
+    /// counter over-approximates every untracked row). A row outside the
+    /// CAT's tag domain, or a count that does not fit its `u32` counter,
+    /// takes the same path.
     fn install(&mut self, row: u64, count: u64) -> bool {
         let relocations_before = self.cat.relocations();
-        match self.cat.insert(row, count) {
+        let stored = u32::try_from(count).map_err(|_| CatConflict { tag: row });
+        match stored.and_then(|stored| self.cat.insert(row, stored)) {
             Ok((table, set, _)) => {
                 let old = self
                     .set_min
@@ -490,11 +499,17 @@ impl CatTracker {
                 true
             }
             Err(_) => {
-                self.conflicts += 1;
-                self.spill = self.spill.max(count);
+                self.conflict(count);
                 false
             }
         }
+    }
+
+    /// Absorbs an activation the table could not hold into the spill
+    /// counter, which then bounds the row's count from above.
+    fn conflict(&mut self, count: u64) {
+        self.conflicts += 1;
+        self.spill = self.spill.max(count);
     }
 
     /// Misra-Gries handling of an activation of an untracked row: install
@@ -533,8 +548,19 @@ impl HotRowTracker for CatTracker {
     fn record_access(&mut self, row: u64) -> AccessVerdict {
         let t = self.config.threshold;
         if let Some(((table, set, _), count)) = self.cat.locate_mut(row) {
-            *count += 1;
-            let c = *count;
+            let c = u64::from(*count) + 1;
+            let Ok(stored) = u32::try_from(c) else {
+                // The counter is saturated: hand the row to the spill
+                // counter instead of under-counting it.
+                self.cat.remove_entry(row);
+                self.recompute_set_min(table, set);
+                self.conflict(c);
+                return AccessVerdict {
+                    swap_due: c % t == 0,
+                    estimated_count: c,
+                };
+            };
+            *count = stored;
             // The increment can only raise the set minimum.
             let prev_min = self.set_min.get(table).and_then(|v| v.get(set)).copied();
             if prev_min == Some(c - 1) {
@@ -553,7 +579,7 @@ impl HotRowTracker for CatTracker {
     }
 
     fn count_of(&self, row: u64) -> Option<u64> {
-        self.cat.get(row).copied()
+        self.cat.get(row).map(|&c| u64::from(c))
     }
 
     fn len(&self) -> usize {
@@ -869,6 +895,28 @@ mod tests {
         assert!(t.conflicts() > 0, "0 extra ways must conflict");
         // Over-estimation survives: spill bounds every untracked row.
         assert!(t.spill() > 0);
+    }
+
+    #[test]
+    fn saturated_count_moves_the_row_to_spill() {
+        let mut t = CatTracker::new(cfg(8, 1000));
+        t.record_access(5);
+        t.record_access(6);
+        *t.cat.get_mut(5).expect("row 5 is tracked") = u32::MAX;
+        t.rebuild_set_min();
+        // The next hit cannot be stored in a `u32`: the row leaves the
+        // table and the spill counter takes over its (exact) count.
+        let verdict = t.record_access(5);
+        let saturated = u64::from(u32::MAX) + 1;
+        assert_eq!(verdict.estimated_count, saturated);
+        assert!(!t.contains(5));
+        assert_eq!((t.spill(), t.conflicts()), (saturated, 1));
+        // Installs above the `u32` range take the same conflict path.
+        assert_eq!(t.record_access(7).estimated_count, saturated + 1);
+        assert!(!t.contains(7));
+        assert_eq!(t.conflicts(), 2);
+        assert_eq!(t.count_of(6), Some(1));
+        assert_eq!(t.global_min(), 1);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! through the public API) and negative (audits reject deliberately
 //! corrupted structures, and the debug-build wiring trips on them).
 
+use std::rc::Rc;
+
 use rrs_core::audit::{AuditError, CatAudit, RitAudit};
-use rrs_core::cat::{Cat, CatConfig};
+use rrs_core::cat::{Cat, CatConfig, SetIndexMemo};
 use rrs_core::rit::RowIndirectionTable;
 
 fn small_cat() -> Cat<u32> {
@@ -17,13 +19,13 @@ fn small_cat() -> Cat<u32> {
 
 #[test]
 fn audits_accept_freshly_built_structures() {
-    RitAudit::verify(&RowIndirectionTable::new(16, 0x5EED)).unwrap();
+    RitAudit::verify(&RowIndirectionTable::new(16, 1 << 17, 0x5EED)).unwrap();
     CatAudit::verify(&small_cat()).unwrap();
 }
 
 #[test]
 fn rit_audit_accepts_any_reachable_state() {
-    let mut rit = RowIndirectionTable::new(32, 0xFACE);
+    let mut rit = RowIndirectionTable::new(32, 1 << 17, 0xFACE);
     let mut x = 7u64;
     for _ in 0..300 {
         x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -63,7 +65,7 @@ fn cat_audit_accepts_any_reachable_state() {
 
 #[test]
 fn corrupted_rit_fails_the_audit() {
-    let mut rit = RowIndirectionTable::new(16, 0xBAD);
+    let mut rit = RowIndirectionTable::new(16, 1 << 17, 0xBAD);
     rit.swap(1, 2).unwrap();
     RitAudit::verify(&rit).unwrap();
     // A forward entry with no reverse partner breaks the permutation.
@@ -114,21 +116,36 @@ fn misplaced_cat_tag_fails_the_audit() {
 }
 
 #[test]
-fn stale_cat_index_fails_the_audit() {
+fn stale_set_memo_fails_the_audit() {
     let mut cat = small_cat();
+    let memo = SetIndexMemo::new(cat.config(), 64).unwrap();
+    cat.attach_set_memo(Rc::new(memo));
     cat.insert(42, 7).unwrap();
+    cat.insert(43, 8).unwrap();
     CatAudit::verify(&cat).unwrap();
-    // Drop the tag from the flat index while its slot stays resident: the
-    // hot-path lookup now misses an entry the scan still finds.
-    assert!(cat.corrupt_index_for_test(42));
+    // A zeroed word reads as "never installed": the lookup now misses an
+    // entry that is still resident.
+    assert!(cat.corrupt_memo_for_test(42, 0));
+    assert_eq!(cat.get(42), None);
     let err = CatAudit::verify(&cat).expect_err("corruption must be caught");
-    assert_eq!(err, AuditError::CatIndexIncoherent { tag: 42 });
-    assert!(err.to_string().contains("flat index"));
+    assert_eq!(err, AuditError::CatMemoIncoherent { tag: 42 });
+    assert!(err.to_string().contains("memo"));
+    // A filled word naming the wrong sets is caught too.
+    let (s0, s1) = (cat.set_of(0, 43), cat.set_of(1, 43));
+    let wrong = u32::try_from(((s0 + 1) % 8 + 1) | (s1 + 1) << 16).unwrap();
+    assert!(cat.corrupt_memo_for_test(43, wrong));
+    let err = CatAudit::verify(&cat).expect_err("corruption must be caught");
+    assert!(
+        matches!(err, AuditError::CatMemoIncoherent { tag } if tag == 42 || tag == 43),
+        "unexpected audit error: {err}"
+    );
+    // Tags the memo does not cover cannot be corrupted through it.
+    assert!(!cat.corrupt_memo_for_test(64, 0));
 }
 
 #[test]
 fn stale_resolve_tlb_fails_the_audit() {
-    let mut rit = RowIndirectionTable::new(16, 0xCAFE);
+    let mut rit = RowIndirectionTable::new(16, 1 << 17, 0xCAFE);
     rit.swap(1, 2).unwrap();
     RitAudit::verify(&rit).unwrap();
     // Cache a mapping the CATs contradict: a missed invalidation.
@@ -151,7 +168,7 @@ fn stale_resolve_tlb_fails_the_audit() {
 #[cfg(debug_assertions)]
 #[should_panic(expected = "ghost-state audit failed")]
 fn corrupted_rit_trips_debug_audit_at_epoch_end() {
-    let mut rit = RowIndirectionTable::new(16, 0x1);
+    let mut rit = RowIndirectionTable::new(16, 1 << 17, 0x1);
     rit.corrupt_forward_for_test(5, 9);
     rit.end_epoch();
 }

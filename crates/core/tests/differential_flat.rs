@@ -1,17 +1,19 @@
 //! Differential property tests (rrs-check) pinning the hot-path rewrites
-//! against retained reference implementations: the flat tables, the CAT
-//! flat index, the set-index memo, the rotated CAT walk and the
-//! resolve-TLB must be *observationally invisible* — same access
-//! sequence, same answers, same counter totals.
+//! against reference implementations: the flat tables, the index-free CAT
+//! and its set-index memo, the rotated CAT walk and the resolve-TLB must
+//! be *observationally invisible* — same access sequence, same answers,
+//! same counter totals.
 
 use std::cell::Cell;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use rrs_check::{check, Gen};
-use rrs_core::audit::RitAudit;
-use rrs_core::cat::{Cat, CatConfig, SetIndexMemo};
-use rrs_core::rit::RowIndirectionTable;
+use rrs_core::audit::{CatAudit, RitAudit};
+use rrs_core::cat::{Cat, CatConfig, CatConflict, SetIndexMemo};
+use rrs_core::rit::{RitError, RowIndirectionTable};
+use rrs_core::rrs::{BankRrs, RrsConfig};
 use rrs_core::tracker::{CamTracker, CatTracker, HotRowTracker, TrackerConfig};
 use rrs_flat::FlatMap;
 use rrs_telemetry::Telemetry;
@@ -74,9 +76,11 @@ fn flat_map_matches_btreemap() {
 fn rit_tlb_matches_uncached_resolution() {
     check(|g| {
         let telemetry = Telemetry::new();
-        let mut rit = RowIndirectionTable::new(8, g.u128());
-        rit.attach_telemetry(&telemetry);
         let rows = 32u64;
+        // The memo covers the swapped rows; probes up to `rows + 4` also
+        // reach rows it does not cover.
+        let mut rit = RowIndirectionTable::new(8, rows, g.u128());
+        rit.attach_telemetry(&telemetry);
         let ops = g.usize_in(1..40);
         for _ in 0..ops {
             match g.below(5) {
@@ -245,7 +249,7 @@ fn memoized_cat_matches_unmemoized() {
                         for table in 0..2 {
                             assert_eq!(cat.set_of(table, tag), plain.set_of(table, tag));
                         }
-                        assert_eq!(cat.find_by_scan(tag), plain.find_by_scan(tag));
+                        assert_eq!(cat.locate(tag), plain.locate(tag));
                     }
                 }
                 _ => {
@@ -333,4 +337,173 @@ fn iter_from_matches_rotated_iter() {
             }
         }
     });
+}
+
+/// The index-free CAT, with a memo covering its whole tag domain and
+/// without one, matches a `BTreeMap` under insert/remove/`get_mut` churn:
+/// every lookup, conflict-free install, removed value and the final
+/// contents. Conflicts (tiny shapes over-fill) leave the reference alone.
+#[test]
+fn index_free_cat_matches_btreemap() {
+    let relocations = Cell::new(0u64);
+    check(|g| {
+        let config = tiny_cat_config(g);
+        let domain = 40u64;
+        let memo = SetIndexMemo::new(&config, domain as usize).expect("tiny shapes fit a memo");
+        let mut memoized: Cat<u64> = Cat::new(config);
+        memoized.attach_set_memo(Rc::new(memo));
+        let mut cats = [Cat::new(config), memoized];
+        let mut reference: BTreeMap<u64, u64> = BTreeMap::new();
+        for _ in 0..g.usize_in(1..200) {
+            let tag = g.below(domain);
+            let value = g.u64();
+            match g.below(6) {
+                0..=2 => {
+                    if let Entry::Vacant(slot) = reference.entry(tag) {
+                        let results: Vec<_> =
+                            cats.iter_mut().map(|c| c.insert(tag, value)).collect();
+                        assert_eq!(results[0], results[1]);
+                        if results[0].is_ok() {
+                            slot.insert(value);
+                        }
+                    }
+                }
+                3 => {
+                    for cat in &mut cats {
+                        assert_eq!(cat.remove(tag), reference.get(&tag).copied());
+                    }
+                    reference.remove(&tag);
+                }
+                4 => {
+                    for cat in &mut cats {
+                        if let Some(v) = cat.get_mut(tag) {
+                            *v ^= value;
+                        }
+                    }
+                    if let Some(v) = reference.get_mut(&tag) {
+                        *v ^= value;
+                    }
+                }
+                _ => {
+                    for cat in &cats {
+                        assert_eq!(cat.get(tag), reference.get(&tag));
+                    }
+                }
+            }
+            for cat in &cats {
+                assert_eq!(cat.len(), reference.len());
+                CatAudit::verify(cat).unwrap();
+            }
+        }
+        for cat in &cats {
+            let mut entries: Vec<(u64, u64)> = cat.iter().map(|(t, &v)| (t, v)).collect();
+            entries.sort_unstable();
+            let expected: Vec<(u64, u64)> = reference.iter().map(|(&t, &v)| (t, v)).collect();
+            assert_eq!(entries, expected);
+            for tag in 0..domain {
+                assert_eq!(cat.contains(tag), reference.contains_key(&tag));
+            }
+        }
+        relocations.set(relocations.get() + cats[1].relocations());
+    });
+    assert!(relocations.get() > 0, "no case exercised relocation");
+}
+
+/// A lookup of a tag no CAT sharing the memo ever installed reads an
+/// unfilled word and misses without hashing: the filled-word count stays
+/// put, and only installs raise it.
+#[test]
+fn never_inserted_lookups_fill_no_memo_word() {
+    check(|g| {
+        let config = tiny_cat_config(g);
+        let memo = Rc::new(SetIndexMemo::new(&config, 64).expect("tiny shapes fit a memo"));
+        let mut cat: Cat<u64> = Cat::new(config);
+        cat.attach_set_memo(Rc::clone(&memo));
+        let installed: Vec<u64> = (0..g.usize_in(0..8)).map(|_| g.below(32)).collect();
+        for &tag in &installed {
+            if !cat.contains(tag) {
+                let _ = cat.insert(tag, tag);
+            }
+        }
+        let filled = memo.filled_words();
+        assert!(filled <= installed.len());
+        for tag in 32..64u64 {
+            assert!(cat.get(tag).is_none());
+            assert!(cat.locate(tag).is_none());
+            assert!(cat.remove(tag).is_none());
+        }
+        assert_eq!(memo.filled_words(), filled);
+    });
+}
+
+/// Tags at or above `u32::MAX` lie outside the CAT's tag domain: installs
+/// report a conflict, lookups miss, and nothing panics, with or without a
+/// memo.
+#[test]
+fn out_of_domain_tags_conflict_and_miss() {
+    let config = CatConfig {
+        sets: 4,
+        demand_ways: 2,
+        extra_ways: 1,
+        hash_seed: 7,
+    };
+    let mut memoized: Cat<u64> = Cat::new(config);
+    memoized.attach_set_memo(Rc::new(SetIndexMemo::new(&config, 16).expect("4 sets fit")));
+    for mut cat in [Cat::new(config), memoized] {
+        cat.insert(3, 30).unwrap();
+        for tag in [u64::from(u32::MAX), u64::from(u32::MAX) + 3, u64::MAX] {
+            assert_eq!(cat.insert(tag, 1), Err(CatConflict { tag }));
+            assert_eq!(cat.get(tag), None);
+            assert_eq!(cat.remove_entry(tag), None);
+        }
+        assert_eq!(cat.len(), 1);
+        assert_eq!(cat.get(3), Some(&30));
+        CatAudit::verify(&cat).unwrap();
+    }
+}
+
+/// `CatTracker` absorbs an out-of-domain row into the spill counter and
+/// counts it as a conflict; the Misra-Gries estimate still covers it.
+#[test]
+fn tracker_spills_out_of_domain_rows() {
+    let mut tracker = CatTracker::new(TrackerConfig {
+        entries: 16,
+        threshold: 4,
+    });
+    let row = u64::from(u32::MAX);
+    let mut fired = 0;
+    for n in 1..=8u64 {
+        let verdict = tracker.record_access(row);
+        assert_eq!(verdict.estimated_count, n);
+        fired += u64::from(verdict.swap_due);
+    }
+    assert_eq!(fired, 2);
+    assert_eq!(tracker.conflicts(), 8);
+    assert_eq!(tracker.spill(), 8);
+    assert!(!tracker.contains(row));
+    assert!(tracker.is_empty());
+}
+
+/// An RIT swap naming an out-of-domain row is refused before either
+/// direction changes, and a bank engine whose tracker fires for such a row
+/// records a stall instead of panicking.
+#[test]
+fn out_of_domain_swaps_stall() {
+    let row = u64::from(u32::MAX) + 1;
+    let mut rit = RowIndirectionTable::new(8, 64, 0x5EED);
+    rit.swap(1, 2).unwrap();
+    assert_eq!(rit.swap(3, row), Err(RitError::TableConflict));
+    assert_eq!(rit.swap(row, 3), Err(RitError::TableConflict));
+    assert_eq!(rit.tuples_in_use(), 2);
+    assert_eq!(rit.resolve(row), row);
+    RitAudit::verify(&rit).unwrap();
+
+    let config = RrsConfig::for_threshold(60, 1_000, 1_024);
+    let mut bank = BankRrs::new(config, 0);
+    for _ in 0..config.t_rrs {
+        assert!(bank.on_activation(row).is_empty());
+    }
+    assert_eq!(bank.stats().swaps, 0);
+    assert_eq!(bank.stats().capacity_stalls, 1);
+    assert_eq!(bank.resolve(row), row);
 }

@@ -219,7 +219,7 @@ fn rit_op(g: &mut Gen) -> RitOp {
 fn rit_is_always_a_permutation() {
     check(|g| {
         let ops = g.vec(1..150, rit_op);
-        let mut rit = RowIndirectionTable::new(64, 0xFACE);
+        let mut rit = RowIndirectionTable::new(64, 1 << 17, 0xFACE);
         for op in ops {
             match op {
                 RitOp::Swap(a, b) => {
@@ -253,7 +253,7 @@ fn rit_is_always_a_permutation() {
 fn rit_locked_entries_survive_evictions() {
     check(|g| {
         let picks = g.vec(1..50, |g| g.u64());
-        let mut rit = RowIndirectionTable::new(16, 0xBEE);
+        let mut rit = RowIndirectionTable::new(16, 1 << 17, 0xBEE);
         rit.swap(1, 2).unwrap();
         rit.swap(3, 4).unwrap();
         let mapped_before: HashSet<(u64, u64)> = rit.iter().collect();

@@ -46,7 +46,11 @@ impl ProbabilisticRrs {
         assert!(p > 0.0 && p <= 1.0, "probability out of range");
         let banks = (0..geometry.total_banks())
             .map(|i| BankState {
-                rit: RowIndirectionTable::new(rit_tuples, seed ^ ((i as u128) << 64)),
+                rit: RowIndirectionTable::new(
+                    rit_tuples,
+                    geometry.rows_per_bank as u64,
+                    seed ^ ((i as u128) << 64),
+                ),
                 prng: PrinceCtrRng::new(seed ^ 0x50524f42 ^ ((i as u128) << 32)),
             })
             .collect();
