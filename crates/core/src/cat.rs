@@ -408,13 +408,13 @@ impl<V: Copy + Default> Cat<V> {
         }
     }
 
-    /// Both candidate sets of `tag`, computed by the two keyed PRINCE hashes.
+    /// Both candidate sets of `tag`, computed by the two keyed PRINCE
+    /// hashes in one two-lane pass.
     pub(crate) fn hashed_sets(&self, tag: u64) -> (usize, usize) {
         let mask = self.config.sets - 1;
-        (
-            (self.hashers[0].encrypt(tag) as usize) & mask,
-            (self.hashers[1].encrypt(tag) as usize) & mask,
-        )
+        let [h0, h1] = &self.hashers;
+        let [e0, e1] = Prince::encrypt_lanes([(h0, tag), (h1, tag)]);
+        ((e0 as usize) & mask, (e1 as usize) & mask)
     }
 
     /// Whether the memo agrees with PRINCE on `tag`: vacuously true when
@@ -487,6 +487,24 @@ impl<V: Copy + Default> Cat<V> {
     pub fn get(&self, tag: u64) -> Option<&V> {
         let (t, set, way) = self.find(tag)?;
         self.values.get(t)?.get(self.slot(set, way))
+    }
+
+    /// The value in slot `at` (as returned by [`Cat::locate`]), or `None`
+    /// if that slot is empty. Callers that located a tag once read and
+    /// remove it through its slot without a second lookup.
+    pub(crate) fn value_at(&self, at: SlotIndex) -> Option<&V> {
+        let (t, set, way) = at;
+        let key = self.set_tags(t, set).get(way)?;
+        if *key == EMPTY {
+            return None;
+        }
+        self.values.get(t)?.get(self.slot(set, way))
+    }
+
+    /// Number of entries resident in set `set` of table `table`.
+    pub(crate) fn set_len(&self, table: usize, set: usize) -> usize {
+        let occupied = self.occupied.get(table).and_then(|v| v.get(set));
+        occupied.copied().map_or(0, usize::from)
     }
 
     /// Exclusive reference to the value stored for `tag`.
@@ -611,8 +629,8 @@ impl<V: Copy + Default> Cat<V> {
     /// value — one lookup instead of the `locate` + `remove` pair callers
     /// that repair per-set metadata would otherwise pay.
     pub fn remove_entry(&mut self, tag: u64) -> Option<(SlotIndex, V)> {
-        let (t, set, way) = self.find(tag)?;
-        self.take(t, set, way).map(|value| ((t, set, way), value))
+        let at = self.find(tag)?;
+        self.remove_at(at).map(|value| (at, value))
     }
 
     /// Removes `tag` from set `set` of table `table`, returning its value;
@@ -625,10 +643,25 @@ impl<V: Copy + Default> Cat<V> {
         self.take(table, set, way)
     }
 
-    /// Empties slot `(table, set, way)`, returning the value it held.
+    /// Empties slot `at` (as returned by [`Cat::locate`]), returning the
+    /// value it held; `None` if the slot is empty. Entries never move on
+    /// a remove, so a location stays valid until the next insert.
+    pub(crate) fn remove_at(&mut self, at: SlotIndex) -> Option<V> {
+        let (t, set, way) = at;
+        if way >= self.config.ways() {
+            return None;
+        }
+        self.take(t, set, way)
+    }
+
+    /// Empties slot `(table, set, way)`, returning the value it held, or
+    /// `None` if it was already empty.
     fn take(&mut self, t: usize, set: usize, way: usize) -> Option<V> {
         let slot = self.slot(set, way);
         let (stored, value) = self.slot_mut(t, slot)?;
+        if *stored == EMPTY {
+            return None;
+        }
         *stored = EMPTY;
         let value = *value;
         self.bump_occupied(t, set, -1);
@@ -806,6 +839,28 @@ mod tests {
         assert_eq!(cat.remove(100), Some(9));
         assert!(cat.get(100).is_none());
         assert!(cat.is_empty());
+        Ok(())
+    }
+
+    #[test]
+    fn located_slots_read_and_remove_without_a_lookup() -> Result<(), CatConflict> {
+        let mut cat = small();
+        let at = cat.insert(100, 7)?;
+        cat.insert(101, 8)?;
+        assert_eq!(cat.locate(100), Some(at));
+        assert_eq!(cat.value_at(at), Some(&7));
+        let (t, set, way) = at;
+        assert!(cat.set_len(t, set) >= 1);
+        assert_eq!(cat.value_at((t, set, cat.config().ways())), None);
+        assert_eq!(cat.remove_at((t, set, cat.config().ways())), None);
+        let before = cat.set_len(t, set);
+        assert_eq!(cat.remove_at(at), Some(7));
+        assert_eq!(cat.set_len(t, set), before - 1);
+        // The slot is empty now: nothing to read or remove, and the other
+        // entry is untouched.
+        assert_eq!(cat.value_at(at), None);
+        assert_eq!(cat.remove_at((t, set, way)), None);
+        assert_eq!((cat.len(), cat.get(101)), (1, Some(&8)));
         Ok(())
     }
 

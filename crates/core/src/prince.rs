@@ -309,17 +309,50 @@ impl Prince {
         (self.k0, self.k0_prime, self.k1)
     }
 
-    /// Encrypts one 64-bit block.
+    /// Encrypts one 64-bit block: the one-lane case of
+    /// [`Prince::encrypt_lanes`].
+    #[inline]
     pub fn encrypt(&self, plaintext: u64) -> u64 {
-        let mut s = plaintext ^ self.k0 ^ self.rks[0];
-        for rk in self.rks.iter().take(6).skip(1) {
-            s = fused_round(s, &T_FWD) ^ rk;
+        let [ciphertext] = Self::encrypt_lanes([(self, plaintext)]);
+        ciphertext
+    }
+
+    /// Encrypts `N` independent `(cipher, block)` lanes, round by round.
+    ///
+    /// Each lane equals `cipher.encrypt(block)`. Running the lanes side by
+    /// side lets their table lookups overlap, the software counterpart of
+    /// the pipelined hardware cipher (§4.4): the CTR keystream encrypts
+    /// eight counters at once and a CAT hashes one tag under both keys.
+    #[inline]
+    pub fn encrypt_lanes<const N: usize>(lanes: [(&Prince, u64); N]) -> [u64; N] {
+        let mut s = lanes.map(|(c, block)| block ^ c.k0 ^ c.rks[0]);
+        for round in 1..6 {
+            for (x, (c, _)) in s.iter_mut().zip(&lanes) {
+                *x = fused_round(*x, &T_FWD) ^ c.round_key(round);
+            }
         }
-        s = apply_sbox_bytes(fused_round(s, &T_MID), &SBOX_INV_BYTES);
-        for rk in self.rks.iter().take(11).skip(6) {
-            s = apply_sbox_bytes(fused_round(s ^ rk, &T_BWD), &SBOX_INV_BYTES);
+        for x in &mut s {
+            *x = apply_sbox_bytes(fused_round(*x, &T_MID), &SBOX_INV_BYTES);
         }
-        s ^ self.rks[11] ^ self.k0_prime
+        for round in 6..11 {
+            for (x, (c, _)) in s.iter_mut().zip(&lanes) {
+                *x = apply_sbox_bytes(
+                    fused_round(*x ^ c.round_key(round), &T_BWD),
+                    &SBOX_INV_BYTES,
+                );
+            }
+        }
+        for (x, (c, _)) in s.iter_mut().zip(&lanes) {
+            *x ^= c.rks[11] ^ c.k0_prime;
+        }
+        s
+    }
+
+    /// Round key `round` (`RC[round] ^ k1`); the rounds `encrypt_lanes`
+    /// asks for are all below 12, so the fallback is unreachable.
+    #[inline]
+    fn round_key(&self, round: usize) -> u64 {
+        self.rks.get(round).copied().unwrap_or(0)
     }
 
     /// Decrypts one 64-bit block.
@@ -393,6 +426,70 @@ mod tests {
                 "encrypt failed for k0={k0:016x} k1={k1:016x} pt={pt:016x}"
             );
         }
+    }
+
+    /// The sequential round loop `encrypt` ran before it became the
+    /// one-lane case of `encrypt_lanes`.
+    fn reference_encrypt(c: &Prince, plaintext: u64) -> u64 {
+        let mut s = plaintext ^ c.k0 ^ c.rks[0];
+        for rk in &c.rks[1..6] {
+            s = fused_round(s, &T_FWD) ^ rk;
+        }
+        s = apply_sbox_bytes(fused_round(s, &T_MID), &SBOX_INV_BYTES);
+        for rk in &c.rks[6..11] {
+            s = apply_sbox_bytes(fused_round(s ^ rk, &T_BWD), &SBOX_INV_BYTES);
+        }
+        s ^ c.rks[11] ^ c.k0_prime
+    }
+
+    #[test]
+    fn lanes_match_per_block_encrypt_on_vectors() {
+        let ciphers: Vec<Prince> = VECTORS.iter().map(|&(k0, k1, ..)| cipher(k0, k1)).collect();
+        let lanes: [(&Prince, u64); 5] = std::array::from_fn(|i| (&ciphers[i], VECTORS[i].2));
+        let expected: [u64; 5] = std::array::from_fn(|i| VECTORS[i].3);
+        assert_eq!(Prince::encrypt_lanes(lanes), expected);
+        for (c, &(_, _, pt, ct)) in ciphers.iter().zip(VECTORS) {
+            assert_eq!(Prince::encrypt_lanes([(c, pt)]), [ct]);
+            assert_eq!(reference_encrypt(c, pt), ct);
+        }
+    }
+
+    /// `N` lanes under independent random keys and blocks equal `N`
+    /// one-block encryptions, and both equal the sequential reference.
+    fn check_random_lanes<const N: usize>(seed: u64) {
+        let mut x = seed;
+        let mut next = || {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            x
+        };
+        for _ in 0..200 {
+            let ciphers: [Prince; N] =
+                std::array::from_fn(|_| Prince::new(u128::from(next()) << 64 | u128::from(next())));
+            let blocks: [u64; N] = std::array::from_fn(|_| next());
+            let lanes: [(&Prince, u64); N] = std::array::from_fn(|i| (&ciphers[i], blocks[i]));
+            let got = Prince::encrypt_lanes(lanes);
+            for i in 0..N {
+                assert_eq!(got[i], ciphers[i].encrypt(blocks[i]), "lane {i} of {N}");
+                assert_eq!(got[i], reference_encrypt(&ciphers[i], blocks[i]));
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_match_per_block_encrypt_on_random_keys() {
+        check_random_lanes::<1>(1);
+        check_random_lanes::<2>(2);
+        check_random_lanes::<8>(8);
+    }
+
+    #[test]
+    fn lanes_sharing_one_cipher_match_per_block_encrypt() {
+        let c = Prince::new(0x0123_4567_89ab_cdef_fedc_ba98_7654_3210);
+        let blocks: [u64; 8] = std::array::from_fn(|i| 1000 + i as u64);
+        let got = Prince::encrypt_lanes(blocks.map(|b| (&c, b)));
+        assert_eq!(got, blocks.map(|b| c.encrypt(b)));
     }
 
     #[test]

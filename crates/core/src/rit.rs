@@ -25,7 +25,7 @@ use std::rc::Rc;
 
 use rrs_telemetry::{Counter, Telemetry};
 
-use crate::cat::{holds_tag, Cat, CatConfig, SetIndexMemo};
+use crate::cat::{holds_tag, Cat, CatConfig, SetIndexMemo, SlotIndex};
 
 /// Entries per resolve-TLB direction (direct-mapped, power of two).
 const TLB_ENTRIES: usize = 1024;
@@ -347,10 +347,11 @@ impl RowIndirectionTable {
         self.forward.contains(logical)
     }
 
-    /// Removes the forward/reverse pair of `logical`, if any.
-    fn clear_mapping(&mut self, logical: u64) {
+    /// Removes the forward/reverse pair of `logical`, whose forward entry
+    /// (if any) sits at `at`, a location found before any insert since.
+    fn clear_mapping(&mut self, logical: u64, at: Option<SlotIndex>) {
         self.tlb_fwd.invalidate(logical);
-        if let Some(old) = self.forward.remove(logical) {
+        if let Some(old) = at.and_then(|at| self.forward.remove_at(at)) {
             self.reverse.remove(old.physical);
             self.tlb_rev.invalidate(old.physical);
         }
@@ -374,6 +375,14 @@ impl RowIndirectionTable {
         Ok(())
     }
 
+    /// The forward location of `logical` and the physical row holding it:
+    /// one forward-CAT lookup, which the mutation then reuses.
+    fn locate(&self, logical: u64) -> (Option<SlotIndex>, u64) {
+        let at = self.forward.locate(logical);
+        let entry = at.and_then(|at| self.forward.value_at(at));
+        (at, entry.map_or(logical, |e| e.physical))
+    }
+
     /// Records a swap of the *contents* of the physical locations currently
     /// holding logical rows `x` and `y`, locking the new mappings for the
     /// rest of the epoch. Returns the physical exchange the controller must
@@ -395,16 +404,17 @@ impl RowIndirectionTable {
             // refuse before touching either direction.
             return Err(RitError::TableConflict);
         }
-        let px = self.resolve(x);
-        let py = self.resolve(y);
+        let (x_at, px) = self.locate(x);
+        let (y_at, py) = self.locate(y);
         // Worst case this creates two new displaced rows.
-        let new_tuples = usize::from(!self.is_displaced(x) && py != x)
-            + usize::from(!self.is_displaced(y) && px != y);
+        let new_tuples =
+            usize::from(x_at.is_none() && py != x) + usize::from(y_at.is_none() && px != y);
         if self.tuples_in_use() + new_tuples > self.tuple_capacity {
             return Err(RitError::CapacityExhausted);
         }
-        self.clear_mapping(x);
-        self.clear_mapping(y);
+        // Both removes precede every insert, so both locations hold.
+        self.clear_mapping(x, x_at);
+        self.clear_mapping(y, y_at);
         self.put_mapping(x, py, true)?;
         self.put_mapping(y, px, true)?;
         self.maybe_audit();
@@ -429,42 +439,67 @@ impl RowIndirectionTable {
         // victim: equivalent to a uniform pick over a rotation of the
         // candidate order, without paying a lookup per resident entry.
         let start = (pick as usize) % len;
-        let victim = self
-            .forward
-            .iter_from(start)
-            .find(|(logical, e)| {
+        let (victim, occupant, occupant_at) =
+            self.forward.iter_from(start).find_map(|(logical, e)| {
                 if e.locked {
-                    return false;
+                    return None;
                 }
                 // The occupant of this row's home must also be evictable,
                 // because un-swapping displaces it.
-                let z = self.occupant(*logical);
-                z == *logical || self.forward.get(z).map(|ze| !ze.locked).unwrap_or(true)
-            })
-            .map(|(logical, _)| logical)?;
+                let z = self.occupant(logical);
+                let z_at = self.forward.locate(z);
+                let z_entry = z_at.and_then(|at| self.forward.value_at(at));
+                (!z_entry.is_some_and(|ze| ze.locked)).then_some((logical, z, z_at))
+            })?;
+        let at = self.forward.locate(victim)?;
         // The victim was validated as non-degenerate and unlocked just
         // above, so this unswap cannot fail; if the impossible happens we
         // report "nothing evictable" instead of unwinding mid-simulation
         // (the RitAudit ghost checker would flag the inconsistency).
-        self.unswap(victim).ok()
+        self.unswap_located(victim, at, occupant, occupant_at).ok()
     }
 
     /// Un-swaps `logical` back to its home location. The row currently at
     /// `logical`'s home moves to `logical`'s old position; both mappings are
     /// updated (and removed if they become identities). The moved partner's
     /// lock state is preserved.
+    ///
+    /// # Errors
+    ///
+    /// [`RitError::DegenerateSwap`] if `logical` is not displaced.
     pub fn unswap(&mut self, logical: u64) -> Result<PhysicalSwap, RitError> {
-        let p = self.resolve(logical);
-        if p == logical {
+        let Some(at) = self.forward.locate(logical) else {
             return Err(RitError::DegenerateSwap(logical));
-        }
+        };
         // z currently occupies `logical`'s home slot.
-        let z = self.occupant(logical);
-        let z_locked = self.forward.get(z).map(|e| e.locked).unwrap_or(false);
-        self.clear_mapping(logical);
-        if z != logical {
-            self.clear_mapping(z);
-            self.put_mapping(z, p, z_locked)?;
+        let z = self.occupant_uncached(logical);
+        self.unswap_located(logical, at, z, self.forward.locate(z))
+    }
+
+    /// [`RowIndirectionTable::unswap`] of `logical`, found at `at` in the
+    /// forward CAT, whose home holds `occupant` (forward entry at
+    /// `occupant_at`, if displaced). The eviction path and `unswap` both
+    /// end here, each having located every key once.
+    fn unswap_located(
+        &mut self,
+        logical: u64,
+        at: SlotIndex,
+        occupant: u64,
+        occupant_at: Option<SlotIndex>,
+    ) -> Result<PhysicalSwap, RitError> {
+        let p = self
+            .forward
+            .value_at(at)
+            .map(|e| e.physical)
+            .filter(|&p| p != logical)
+            .ok_or(RitError::DegenerateSwap(logical))?;
+        let z_locked = occupant_at
+            .and_then(|at| self.forward.value_at(at))
+            .is_some_and(|e| e.locked);
+        self.clear_mapping(logical, Some(at));
+        if occupant != logical {
+            self.clear_mapping(occupant, occupant_at);
+            self.put_mapping(occupant, p, z_locked)?;
         }
         self.maybe_audit();
         Ok(PhysicalSwap {

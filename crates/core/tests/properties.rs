@@ -2,14 +2,14 @@
 //! invariants §5.2 relies on must hold for *arbitrary* access sequences,
 //! not just the ones unit tests pick.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use rrs_check::{check, Gen};
 use rrs_core::audit::{CatAudit, RitAudit};
 use rrs_core::cat::{Cat, CatConfig};
 use rrs_core::prince::Prince;
 use rrs_core::prng::PrinceCtrRng;
-use rrs_core::rit::RowIndirectionTable;
+use rrs_core::rit::{PhysicalSwap, RitError, RowIndirectionTable};
 use rrs_core::tracker::{CamTracker, CatTracker, HotRowTracker, TrackerConfig};
 
 /// PRINCE is a permutation: decrypt inverts encrypt for any key/block.
@@ -189,6 +189,176 @@ fn cam_and_cat_trackers_agree() {
         for row in 0u64..32 {
             if let (Some(a), Some(b)) = (cam.count_of(row), cat.count_of(row)) {
                 assert_eq!(a, b, "row {} counts diverge", row);
+            }
+        }
+    });
+}
+
+/// Attack-shaped tracker streams: a few rows hit unevenly, the row with
+/// the only minimum count hit again and again (each hit raises the last
+/// at-minimum SetMin, leaving the cached minimum stale), then enough new
+/// rows to fill the tracker and miss. In debug builds every miss's
+/// global-minimum query runs the full-scan `debug_assert`s; the CAT tracker
+/// must also agree with the CAM reference on every verdict's count.
+#[test]
+fn tracker_minimum_stays_exact_on_attack_streams() {
+    check(|g| {
+        let entries = g.usize_in(2..17);
+        let cfg = TrackerConfig {
+            entries,
+            threshold: 1 << 20,
+        };
+        // Eight sets per table: most rows sit alone in their set.
+        let cat_cfg = CatConfig {
+            sets: 8,
+            demand_ways: 2,
+            extra_ways: 6,
+            hash_seed: g.u128(),
+        };
+        let mut cat = CatTracker::with_cat_config(cfg, cat_cfg);
+        let mut cam = CamTracker::new(cfg);
+        let mut fresh = 0u64;
+        for _ in 0..g.usize_in(1..6) {
+            let hot = g.usize_in(1..4) as u64;
+            let first = fresh;
+            fresh += hot;
+            let mut stream = Vec::new();
+            for (i, row) in (first..fresh).enumerate() {
+                stream.extend(std::iter::repeat_n(row, 2 * i + 1));
+            }
+            // A double-sided pair: the hit always lands on the minimum.
+            for _ in 0..g.usize_in(1..30) {
+                stream.extend([first, first + hot - 1]);
+            }
+            stream.extend(fresh..fresh + (entries + g.usize_in(1..24)) as u64);
+            fresh += (entries + 24) as u64;
+            for row in stream {
+                let a = cat.record_access(row);
+                let b = cam.record_access(row);
+                assert_eq!(a.estimated_count, b.estimated_count, "row {row}");
+            }
+            assert_eq!((cat.spill(), cat.len()), (cam.spill(), cam.len()));
+        }
+    });
+}
+
+/// Reference RIT: `logical -> (physical, locked)` for displaced rows.
+#[derive(Default)]
+struct RitModel {
+    forward: BTreeMap<u64, (u64, bool)>,
+}
+
+impl RitModel {
+    fn resolve(&self, logical: u64) -> u64 {
+        self.forward.get(&logical).map_or(logical, |&(p, _)| p)
+    }
+
+    fn occupant(&self, physical: u64) -> u64 {
+        let mut found = self.forward.iter().filter(|(_, &(p, _))| p == physical);
+        found.next().map_or(physical, |(&l, _)| l)
+    }
+
+    fn locked(&self, logical: u64) -> bool {
+        self.forward
+            .get(&logical)
+            .is_some_and(|&(_, locked)| locked)
+    }
+
+    fn put(&mut self, logical: u64, physical: u64, locked: bool) {
+        if logical != physical {
+            self.forward.insert(logical, (physical, locked));
+        }
+    }
+
+    /// The expected result of `swap(x, y)`, applied to the model.
+    fn swap(&mut self, x: u64, y: u64, capacity: usize) -> Result<PhysicalSwap, RitError> {
+        if x == y {
+            return Err(RitError::DegenerateSwap(x));
+        }
+        let (px, py) = (self.resolve(x), self.resolve(y));
+        let new_tuples = usize::from(!self.forward.contains_key(&x) && py != x)
+            + usize::from(!self.forward.contains_key(&y) && px != y);
+        if self.forward.len() + new_tuples > capacity {
+            return Err(RitError::CapacityExhausted);
+        }
+        self.forward.remove(&x);
+        self.forward.remove(&y);
+        self.put(x, py, true);
+        self.put(y, px, true);
+        Ok(PhysicalSwap {
+            row_a: px,
+            row_b: py,
+        })
+    }
+
+    /// The expected result of `unswap(logical)`, applied to the model.
+    fn unswap(&mut self, logical: u64) -> Result<PhysicalSwap, RitError> {
+        let Some(&(p, _)) = self.forward.get(&logical) else {
+            return Err(RitError::DegenerateSwap(logical));
+        };
+        let z = self.occupant(logical);
+        let z_locked = self.locked(z);
+        self.forward.remove(&logical);
+        self.forward.remove(&z);
+        self.put(z, p, z_locked);
+        Ok(PhysicalSwap {
+            row_a: p,
+            row_b: logical,
+        })
+    }
+
+    /// Whether `evict_one` may pick `logical`: unlocked, and so is the
+    /// row occupying its home.
+    fn evictable(&self, logical: u64) -> bool {
+        let z = self.occupant(logical);
+        !self.locked(logical) && (z == logical || !self.locked(z))
+    }
+}
+
+/// `swap`, `unswap` and `evict_one` meet their postconditions against a
+/// map model: the returned `PhysicalSwap`, `resolve`/`occupant` of every
+/// row afterwards and `tuples_in_use`, with `RitAudit` after every step.
+#[test]
+fn rit_mutations_meet_their_postconditions() {
+    check(|g| {
+        let rows = g.u64_in(3..24);
+        let capacity = g.usize_in(2..12);
+        let mut rit = RowIndirectionTable::new(capacity, rows, g.u128());
+        let mut model = RitModel::default();
+        for _ in 0..g.usize_in(1..120) {
+            match g.below(5) {
+                0 | 1 => {
+                    let (x, y) = (g.below(rows), g.below(rows));
+                    assert_eq!(rit.swap(x, y), model.swap(x, y, capacity), "swap({x}, {y})");
+                }
+                2 => {
+                    let row = g.below(rows);
+                    assert_eq!(rit.unswap(row), model.unswap(row), "unswap({row})");
+                }
+                3 => match rit.evict_one(g.u64()) {
+                    Some(ps) => {
+                        let victim = ps.row_b;
+                        assert!(model.evictable(victim), "evicted {victim}");
+                        assert_eq!(model.unswap(victim), Ok(ps));
+                    }
+                    None => {
+                        let eligible = model.forward.keys().find(|&&l| model.evictable(l));
+                        assert_eq!(eligible, None, "evict_one found no victim");
+                    }
+                },
+                _ => {
+                    rit.end_epoch();
+                    model
+                        .forward
+                        .values_mut()
+                        .for_each(|(_, locked)| *locked = false);
+                }
+            }
+            RitAudit::verify(&rit).unwrap();
+            assert_eq!(rit.tuples_in_use(), model.forward.len());
+            for row in 0..rows {
+                assert_eq!(rit.resolve(row), model.resolve(row), "resolve({row})");
+                assert_eq!(rit.occupant(row), model.occupant(row), "occupant({row})");
             }
         }
     });
