@@ -22,7 +22,6 @@ use rrs::core::rrs::{BankRrs, RrsConfig};
 use rrs::core::tracker::CbfTracker;
 use rrs::dram::geometry::RowAddr;
 use rrs::experiments::{geomean, mean, ExperimentConfig, MitigationKind};
-use rrs::mem_ctrl::scheduler::{QueuedController, SchedPolicy};
 use rrs::mitigations::RrsMitigation;
 use rrs::sim::{SystemConfig, TraceRecord, TraceSource};
 use rrs::workloads::attacks::Attack;
@@ -44,10 +43,15 @@ pub struct FigureArgs {
 }
 
 impl FigureArgs {
-    /// Writes the standard experiment header.
+    /// Writes the standard experiment header: the title, then the scale line.
     fn header(&self, out: &mut Output, title: &str) {
-        let config = &self.config;
         out.line(format_args!("== {title} =="));
+        self.scale_line(out);
+    }
+
+    /// Writes the header's scale line: scale, thresholds, instructions, cores.
+    fn scale_line(&self, out: &mut Output) {
+        let config = &self.config;
         out.line(format_args!(
             "scale 1/{} (T_RH = {}, epoch = {:.3} ms), {} instr/core, {} cores\n",
             config.scale,
@@ -139,7 +143,6 @@ pub const FIGURES: &[Figure] = &[
     Figure { name: "security_sweep", workloads: "6", render: security_sweep },
     Figure { name: "tracker_ablation", workloads: "table3", render: tracker_ablation },
     Figure { name: "rowclone", workloads: "8", render: rowclone },
-    Figure { name: "scheduler_ablation", workloads: "6", render: scheduler_ablation },
     Figure { name: "detector_study", workloads: "10", render: detector_study },
     Figure { name: "fullscale_attack", workloads: "table3", render: fullscale_attack },
     Figure { name: "duty_cycle", workloads: "table3", render: duty_cycle },
@@ -838,7 +841,7 @@ fn security_sweep(args: &FigureArgs, out: &mut Output) {
             "\n-- Performance cost per design point (sample of {} workloads) --",
             sample.len()
         ));
-        args.header(out, "");
+        args.scale_line(out);
         out.line("k          slowdown");
         for k in [3u64, 6, 8] {
             // Keep T_RH fixed, shrink T_RRS by adjusting k: emulate via the
@@ -946,7 +949,7 @@ fn rowclone(args: &FigureArgs, out: &mut Output) {
 
     out.line("\n-- attacker throughput under sustained hammering --");
     out.line("(full 1.46 µs swap latency: this experiment is about the cost itself)");
-    out.line("swap mode            cycles      vs none");
+    out.line("swap mode            cycles      vs none      swaps");
     let atk = args.config.with_full_swap_cost();
     let mut campaign = Campaign::new();
     let base_cell = campaign.attack(atk, AttackKind::Dos, MitigationKind::None, 1);
@@ -962,94 +965,35 @@ fn rowclone(args: &FigureArgs, out: &mut Output) {
     let run = out.run(&campaign);
     let base = run.get(base_cell);
     out.line(format_args!(
-        "{:<12} {:>14} {:>9.4}x",
-        "none", base.cycles, 1.0
+        "{:<12} {:>14} {:>9.4}x {:>10}",
+        "none", base.cycles, 1.0, base.stats.swaps
     ));
+    let mut swaps = Vec::new();
     for (label, cell) in modes {
         let r = run.get(cell);
         assert!(r.bit_flips.is_empty(), "RRS must stay secure in both modes");
         out.line(format_args!(
-            "{:<12} {:>14} {:>9.4}x",
+            "{:<12} {:>14} {:>9.4}x {:>10}",
             label,
             r.cycles,
-            r.cycles as f64 / base.cycles as f64
+            r.cycles as f64 / base.cycles as f64,
+            r.stats.swaps
         ));
+        swaps.push(r.stats.swaps);
     }
+    let verdict = if swaps[0] == swaps[1] {
+        "holds"
+    } else {
+        "does not hold"
+    };
+    out.line(format_args!(
+        "\nEqual swap counts in both modes: {verdict} \
+         (buffered {}, rowclone {})",
+        swaps[0], swaps[1]
+    ));
     out.line(
-        "\nRowClone does not change what gets swapped (security identical);\n\
-         it shrinks each swap's channel-blocking time ~8x, which matters\n\
+        "RowClone shrinks each swap's channel-blocking time ~8x, which matters\n\
          exactly where the paper says it does: under attack and at low T_RH.",
-    );
-}
-
-/// Scheduling-policy ablation: FCFS (the paper's §3 configuration) vs
-/// FR-FCFS on recorded workload traces, open-loop. Quantifies how much
-/// row-hit-first arbitration changes the row-buffer hit rate, and checks
-/// that the synchronous controller's burst approximation lands between
-/// strict per-request FCFS and FR-FCFS.
-fn scheduler_ablation(args: &FigureArgs, out: &mut Output) {
-    args.header(out, "Scheduler ablation: FCFS vs FR-FCFS");
-    let sys = args.config.system_config();
-    let records_per_core = 20_000usize;
-
-    // The closed-loop synchronous-controller runs (burst-batched FCFS)
-    // come from the campaign engine; the open-loop replay below is a
-    // custom per-policy queue and stays inline.
-    let pool: Vec<_> = args.workloads.iter().copied().take(8).collect();
-    let sync_results = run_suite(&args.config, &pool, MitigationKind::None, out);
-
-    out.line("workload        fcfs hits  frfcfs hits sync-ctrl hits");
-    out.line("-".repeat(54));
-    for (w, sync) in pool.iter().zip(&sync_results) {
-        // Record per-core traces once, replay under each policy.
-        let mut sources = sources_for_workload(w, &sys, args.config.seed);
-        let traces: Vec<Vec<_>> = sources
-            .iter_mut()
-            .map(|s| (0..records_per_core).map(|_| s.next_record()).collect())
-            .collect();
-
-        let open_loop = |policy: SchedPolicy| -> f64 {
-            let mut qc =
-                QueuedController::new(sys.controller.geometry, sys.controller.timing, policy, 64);
-            // Interleave cores round-robin with their gap-derived arrival
-            // times; drain in windows to bound the queue.
-            let mut times = vec![0u64; traces.len()];
-            let mut id = 0u64;
-            for i in 0..records_per_core {
-                for (c, t) in traces.iter().enumerate() {
-                    let r = t[i];
-                    times[c] += (r.gap as u64) / 4 + 1;
-                    id += 1;
-                    while !qc.submit(id, r.addr, times[c]) {
-                        // Backpressure: service everything already queued
-                        // (their arrivals may be ahead of this core's time).
-                        qc.drain_until(u64::MAX);
-                    }
-                }
-                if i % 32 == 0 {
-                    // Periodic service keeps the queue at realistic depth
-                    // without reordering across the whole trace.
-                    qc.drain_until(times.iter().copied().max().unwrap_or(0));
-                }
-            }
-            qc.drain_until(u64::MAX);
-            qc.hit_rate()
-        };
-
-        let fcfs = open_loop(SchedPolicy::Fcfs);
-        let frfcfs = open_loop(SchedPolicy::FrFcfs);
-        out.line(format_args!(
-            "{:<12} {:>11.1}% {:>11.1}% {:>13.1}%",
-            w.name(),
-            100.0 * fcfs,
-            100.0 * frfcfs,
-            100.0 * sync.stats.row_hit_rate()
-        ));
-    }
-    out.line(
-        "\nFR-FCFS recovers row locality that strict FCFS destroys under\n\
-         interleaving; the synchronous controller's burst batching lands\n\
-         between the two — the approximation DESIGN.md documents.",
     );
 }
 

@@ -64,7 +64,7 @@ pub fn write(path: &Path, contents: &str) -> Result<(), CliError> {
         .map_err(|e| CliError::from(format!("writing {}: {e}", path.display())))
 }
 
-/// [`resolve`] + [`write`] in one step; returns the path actually written.
+/// [`resolve`] + [`write()`] in one step; returns the path actually written.
 pub fn write_as(raw: &str, kind: OutputKind, contents: &str) -> Result<PathBuf, CliError> {
     let path = resolve(raw, kind);
     write(&path, contents)?;

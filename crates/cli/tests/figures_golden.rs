@@ -51,22 +51,33 @@ fn check(select: impl Fn(&str) -> bool, label: &str) {
     let _ = std::fs::remove_dir_all(&out);
 }
 
-#[test]
-fn every_figure_has_a_golden_and_every_golden_a_figure() {
-    let mut goldens: Vec<String> = std::fs::read_dir(golden_dir())
+/// The stems of the goldens with extension `ext`, sorted.
+fn golden_stems(ext: &str) -> Vec<String> {
+    let mut stems: Vec<String> = std::fs::read_dir(golden_dir())
         .unwrap()
         .filter_map(|e| {
             e.ok()?
                 .file_name()
                 .to_str()?
-                .strip_suffix(".txt")
+                .strip_suffix(ext)
                 .map(String::from)
         })
         .collect();
-    goldens.sort();
+    stems.sort();
+    stems
+}
+
+#[test]
+fn every_figure_has_a_golden_and_every_golden_a_figure() {
     let mut names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
     names.sort();
-    assert_eq!(names, goldens);
+    assert_eq!(names, golden_stems(".txt"));
+    for csv in golden_stems(".csv") {
+        assert!(
+            names.contains(&csv.as_str()),
+            "{csv}.csv names no registry figure"
+        );
+    }
 }
 
 #[test]

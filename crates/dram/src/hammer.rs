@@ -227,7 +227,7 @@ pub struct BitFlip {
 /// blast radius lands in adjacent slots of one or two pages. Flips are
 /// emitted in neighbour order at the disturbing activation.
 ///
-/// Activations are applied in batches of [`BATCH`]: a batch first loads
+/// Activations are applied in batches of `BATCH`: a batch first loads
 /// the words each of its activations will touch, back to back, so their
 /// cache misses overlap, then applies the activations in order. Every
 /// other method applies the pending batch first, so what the model

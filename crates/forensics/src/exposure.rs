@@ -20,7 +20,7 @@
 //!   window restores cell charge — the hammer integral starts over) but
 //!   do **not** end residencies: contents stay put.
 //! * `targeted_refresh` resets only the refreshed row's count.
-//! * `swap_start`, tracker/CAT/scheduler events carry no exposure
+//! * `swap_start` and tracker/CAT events carry no exposure
 //!   information and only count toward the replay total.
 //!
 //! **Max exposure** is the largest count any row ever reached — the most
@@ -232,8 +232,7 @@ impl ExposureReport {
                 | Event::HrtInstall { .. }
                 | Event::HrtEvict { .. }
                 | Event::CatRelocation { .. }
-                | Event::Refresh { .. }
-                | Event::SchedulerStall { .. } => {}
+                | Event::Refresh { .. } => {}
             }
         }
 

@@ -14,8 +14,8 @@
 //!   relocation entropy, and a pass/fail/inconclusive verdict against the
 //!   configured swap threshold.
 //! * [`perfetto`] — a Chrome `trace_event` JSON exporter so swap
-//!   lifecycles, scheduler stalls, targeted refreshes, and epoch
-//!   rollovers render in <https://ui.perfetto.dev>.
+//!   lifecycles, targeted refreshes, and epoch rollovers render in
+//!   <https://ui.perfetto.dev>.
 //!
 //! Everything is a pure function of the event sequence: reports and
 //! exports are byte-deterministic, a property the golden tests pin.

@@ -5,8 +5,8 @@
 //!
 //! * **pid 1 `rrs engine`** — HRT installs/evictions and CAT cuckoo
 //!   relocations as instants (tids 1 and 2).
-//! * **pid 2 `controller`** — refreshes (periodic/targeted/full, tid 1),
-//!   epoch rollovers (tid 2), and scheduler stalls (tid 3) as instants.
+//! * **pid 2 `controller`** — refreshes (periodic/targeted/full, tid 1)
+//!   and epoch rollovers (tid 2) as instants.
 //! * **pid 3 `banks`** — one thread per flat bank index. Swap lifecycles
 //!   render as `"X"` complete slices (a `swap_start` paired with the next
 //!   `swap_done` for the same `(bank, row_a, row_b)`); unswaps and
@@ -126,7 +126,6 @@ pub fn export_trace(events: &[Event], opts: &ExportOptions) -> String {
         metadata("process_name", PID_CONTROLLER, 0, "controller"),
         metadata("thread_name", PID_CONTROLLER, 1, "refresh"),
         metadata("thread_name", PID_CONTROLLER, 2, "epoch"),
-        metadata("thread_name", PID_CONTROLLER, 3, "scheduler"),
     ];
     if !banks.is_empty() {
         out.push(metadata("process_name", PID_BANKS, 0, "banks"));
@@ -250,15 +249,6 @@ pub fn export_trace(events: &[Event], opts: &ExportOptions) -> String {
             Event::FullRefresh { at } => {
                 out.push(instant("full_refresh", at, PID_CONTROLLER, 1, Vec::new()));
             }
-            Event::SchedulerStall { at, queued } => {
-                out.push(instant(
-                    "stall",
-                    at,
-                    PID_CONTROLLER,
-                    3,
-                    vec![arg("queued", queued)],
-                ));
-            }
         }
     }
 
@@ -311,7 +301,6 @@ mod tests {
                 row_a: 10,
                 row_b: 900,
             },
-            Event::SchedulerStall { at: 50, queued: 64 },
             Event::TargetedRefresh {
                 at: 60,
                 bank: 1,

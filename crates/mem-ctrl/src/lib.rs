@@ -30,9 +30,7 @@ pub mod controller;
 pub mod json;
 pub mod mapping;
 pub mod mitigation;
-pub mod scheduler;
 
 pub use controller::{ControllerConfig, ControllerStats, MemoryController};
 pub use mapping::{AddressMapper, DecodedAddr};
 pub use mitigation::{Mitigation, MitigationAction, NoMitigation};
-pub use scheduler::{Completion, QueuedController, SchedPolicy};

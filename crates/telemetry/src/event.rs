@@ -3,9 +3,10 @@
 //! Every observable state transition in the simulated memory system is one
 //! [`Event`] variant: demand activations, row-swap lifecycle, hot-row
 //! tracker (HRT) installs and evictions, CAT cuckoo relocations, epoch
-//! rollovers, the three refresh flavours and scheduler stalls. Events are plain `Copy` data stamped with the emitting
-//! component's cycle clock, and serialize to one deterministic JSON line
-//! each (`kind` first, `at` second, then payload fields).
+//! rollovers and the three refresh flavours. Events are plain `Copy` data
+//! stamped with the emitting component's cycle clock, and serialize to one
+//! deterministic JSON line each (`kind` first, `at` second, then payload
+//! fields).
 
 use rrs_json::Json;
 
@@ -106,14 +107,6 @@ pub enum Event {
         /// Cycle the full refresh started.
         at: u64,
     },
-    /// The queued scheduler rejected a request because its channel queue
-    /// was full (backpressure).
-    SchedulerStall {
-        /// Cycle of the rejected submission.
-        at: u64,
-        /// Total requests queued across channels at that moment.
-        queued: u64,
-    },
 }
 
 impl Event {
@@ -131,7 +124,6 @@ impl Event {
             Event::Refresh { .. } => "refresh",
             Event::TargetedRefresh { .. } => "targeted_refresh",
             Event::FullRefresh { .. } => "full_refresh",
-            Event::SchedulerStall { .. } => "scheduler_stall",
         }
     }
 
@@ -148,8 +140,7 @@ impl Event {
             | Event::EpochRollover { at, .. }
             | Event::Refresh { at }
             | Event::TargetedRefresh { at, .. }
-            | Event::FullRefresh { at }
-            | Event::SchedulerStall { at, .. } => at,
+            | Event::FullRefresh { at } => at,
         }
     }
 
@@ -190,7 +181,6 @@ impl Event {
                 push("bank", bank);
                 push("row", row);
             }
-            Event::SchedulerStall { queued, .. } => push("queued", queued),
         }
         Json::Obj(fields)
     }
@@ -262,10 +252,6 @@ impl Event {
                 row: field("row")?,
             },
             "full_refresh" => Event::FullRefresh { at },
-            "scheduler_stall" => Event::SchedulerStall {
-                at,
-                queued: field("queued")?,
-            },
             other => return Err(format!("unknown event kind {other:?}")),
         })
     }
@@ -298,7 +284,7 @@ mod tests {
         );
     }
 
-    fn one_of_each() -> [Event; 12] {
+    fn one_of_each() -> [Event; 11] {
         [
             Event::Activation {
                 at: 1,
@@ -342,7 +328,6 @@ mod tests {
                 row: 3,
             },
             Event::FullRefresh { at: 11 },
-            Event::SchedulerStall { at: 12, queued: 64 },
         ]
     }
 

@@ -1,5 +1,5 @@
 //! The telemetry spine: one deterministic observability layer shared by the
-//! memory controller, the RRS engine, the scheduler and the runner.
+//! memory controller, the RRS engine and the runner.
 //!
 //! # Architecture
 //!
@@ -8,7 +8,7 @@
 //!   sampling of every counter.
 //! * [`event`] — the structured [`Event`] vocabulary (activations, swap
 //!   lifecycle, HRT installs/evictions, CAT relocations, epoch rollovers,
-//!   refreshes, scheduler stalls).
+//!   refreshes).
 //! * [`probe`] — the bounded [`TraceRecorder`] ring buffer, the one event
 //!   sink, with JSON-lines export.
 //!

@@ -5,9 +5,9 @@
 //! forensics artifacts only work if the bytes are stable. This test
 //! replays a small scripted trace that exercises every track the
 //! exporter draws — swap lifecycles (matched and unmatched), targeted
-//! refreshes, epoch rollovers, scheduler stalls, HRT/CAT churn, and
-//! activations — and compares both the trace itself and its Perfetto
-//! export byte-for-byte against the goldens under `tests/golden/`.
+//! refreshes, epoch rollovers, HRT/CAT churn, and activations — and
+//! compares both the trace itself and its Perfetto export byte-for-byte
+//! against the goldens under `tests/golden/`.
 //!
 //! To re-bless after an *intentional* format change:
 //!
@@ -53,7 +53,6 @@ fn scripted_events() -> Vec<Event> {
             row_a: 100,
             row_b: 913,
         },
-        Event::SchedulerStall { at: 45, queued: 9 },
         Event::SwapDone {
             at: 100,
             bank: 0,
