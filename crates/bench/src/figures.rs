@@ -19,7 +19,7 @@ use rrs::analysis::cat_model::CatModel;
 use rrs::campaign::{Campaign, CampaignRun, RunOptions};
 use rrs::core::detector::DetectorConfig;
 use rrs::core::rrs::{BankRrs, RrsConfig};
-use rrs::core::tracker::CbfTracker;
+use rrs::core::tracker::{CbfTracker, HotRowTracker, ProbabilisticTrigger};
 use rrs::dram::geometry::RowAddr;
 use rrs::experiments::{geomean, mean, ExperimentConfig, MitigationKind};
 use rrs::mitigations::RrsMitigation;
@@ -862,7 +862,8 @@ fn security_sweep(args: &FigureArgs, out: &mut Output) {
 /// Tracking-mechanism ablation (§4.2): RRS works with *any* tracker, but
 /// the tracker determines the swap rate, which determines the overhead.
 /// Compares the paper's Misra-Gries CAT tracker with counting-Bloom-filter
-/// trackers under identical access streams.
+/// trackers and footnote 1's stateless trigger under identical access
+/// streams, and checks the relations the comparison is meant to show.
 fn tracker_ablation(_: &FigureArgs, out: &mut Output) {
     // A scaled design point: T_RH = 300, T_RRS = 50.
     let config = RrsConfig::for_threshold(300, 40_000, 128 * 1024);
@@ -873,7 +874,7 @@ fn tracker_ablation(_: &FigureArgs, out: &mut Output) {
     ));
 
     // Workload: a few genuinely hot rows + background noise.
-    let stream = |i: u64| -> u64 {
+    fn stream(i: u64) -> u64 {
         let x = i
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
@@ -882,45 +883,64 @@ fn tracker_ablation(_: &FigureArgs, out: &mut Output) {
         } else {
             1_000 + (x >> 40) % 50_000
         }
-    };
-    let accesses = 40_000u64;
-
-    let mut mg = BankRrs::new(config, 0);
-    for i in 0..accesses {
-        mg.on_activation(stream(i));
     }
-
-    out.line("tracker                       swaps    unswaps     stalls");
-    out.line("-".repeat(58));
-    let s = mg.stats();
-    out.line(format_args!(
-        "{:<24} {:>10} {:>10} {:>10}",
-        "misra-gries (paper)", s.swaps, s.unswaps, s.capacity_stalls
-    ));
-
-    for (label, counters) in [
-        ("cbf 8192x3", 8_192usize),
-        ("cbf 2048x3", 2_048),
-        ("cbf 512x3", 512),
-    ] {
-        let tracker = CbfTracker::new(config.t_rrs, counters, 3, 0xAB1A7E);
-        let mut cbf = BankRrs::with_tracker(config, 0, tracker);
-        for i in 0..accesses {
-            cbf.on_activation(stream(i));
+    // Replays the stream through `bank`, prints its row, returns its swaps.
+    fn replay<T: HotRowTracker>(label: &str, mut bank: BankRrs<T>, out: &mut Output) -> u64 {
+        for i in 0..40_000 {
+            bank.on_activation(stream(i), |_| {});
         }
-        let s = cbf.stats();
+        let s = bank.stats();
         out.line(format_args!(
             "{:<24} {:>10} {:>10} {:>10}",
             label, s.swaps, s.unswaps, s.capacity_stalls
         ));
+        s.swaps
     }
 
-    out.line(
-        "\nBoth trackers never underestimate (security holds); the Bloom\n\
-         filter's aliasing inflates the swap rate as it shrinks — the reason\n\
-         the paper pairs RRS with Misra-Gries tracking, and smaller filters\n\
-         make it worse. Every swap is ~1.46 µs of blocked channel.",
+    out.line("tracker                       swaps    unswaps     stalls");
+    out.line("-".repeat(58));
+    let mg = replay("misra-gries (paper)", BankRrs::new(config, 0), out);
+    let cbf: Vec<u64> = [
+        ("cbf 8192x3", 8_192usize),
+        ("cbf 2048x3", 2_048),
+        ("cbf 512x3", 512),
+    ]
+    .into_iter()
+    .map(|(label, counters)| {
+        let tracker = CbfTracker::new(config.t_rrs, counters, 3, 0xAB1A7E);
+        replay(label, BankRrs::with_tracker(config, 0, tracker), out)
+    })
+    .collect();
+    let trigger = ProbabilisticTrigger::new(1.0 / config.t_rrs as f64, 0xAB1A7E);
+    let stateless = replay(
+        "stateless p = 1/T_RRS",
+        BankRrs::with_tracker(config, 0, trigger),
+        out,
     );
+
+    let cbf_list = format!("{}, {}, {}", cbf[0], cbf[1], cbf[2]);
+    out.line(format_args!(
+        "\nCBF swaps >= Misra-Gries swaps: {} (misra-gries {mg}; cbf {cbf_list})",
+        verdict(cbf.iter().all(|&c| c >= mg))
+    ));
+    out.line(format_args!(
+        "CBF swaps do not fall as the filter shrinks: {} (cbf {cbf_list})",
+        verdict(cbf.windows(2).all(|w| w[0] <= w[1]))
+    ));
+    out.line(format_args!(
+        "Stateless swaps >= Misra-Gries swaps: {} (stateless {stateless}, misra-gries {mg})",
+        verdict(stateless >= mg)
+    ));
+    out.line("Every swap is ~1.46 µs of blocked channel.");
+}
+
+/// The word a figure prints for a relation it checked.
+fn verdict(holds: bool) -> &'static str {
+    if holds {
+        "holds"
+    } else {
+        "does not hold"
+    }
 }
 
 /// RowClone ablation (§8.1): buffered swaps (≈1.46 µs) vs RowClone
@@ -981,15 +1001,11 @@ fn rowclone(args: &FigureArgs, out: &mut Output) {
         ));
         swaps.push(r.stats.swaps);
     }
-    let verdict = if swaps[0] == swaps[1] {
-        "holds"
-    } else {
-        "does not hold"
-    };
     out.line(format_args!(
-        "\nEqual swap counts in both modes: {verdict} \
-         (buffered {}, rowclone {})",
-        swaps[0], swaps[1]
+        "\nEqual swap counts in both modes: {} (buffered {}, rowclone {})",
+        verdict(swaps[0] == swaps[1]),
+        swaps[0],
+        swaps[1]
     ));
     out.line(
         "RowClone shrinks each swap's channel-blocking time ~8x, which matters\n\

@@ -21,7 +21,7 @@ use rrs::core::prince::Prince;
 use rrs::core::prng::PrinceCtrRng;
 use rrs::core::rit::RowIndirectionTable;
 use rrs::core::rng::DetRng;
-use rrs::core::rrs::{BankRrs, RrsConfig};
+use rrs::core::rrs::{BankRrs, RrsAction, RrsConfig};
 use rrs::core::tracker::{CamTracker, CatTracker, HotRowTracker, TrackerConfig};
 use rrs::dram::geometry::{DramGeometry, RowAddr};
 use rrs::dram::hammer::{HammerConfig, HammerModel};
@@ -39,6 +39,11 @@ const TRACKER: TrackerConfig = TrackerConfig {
     entries: 1_700,
     threshold: 800,
 };
+
+/// Keeps an emitted RRS action alive without collecting it.
+fn sink(action: RrsAction) {
+    black_box(action);
+}
 
 /// Registers the smoke tier (the benches `rrs bench-report` snapshots).
 pub fn smoke(h: &mut Harness) {
@@ -84,7 +89,7 @@ fn bench_rrs_engine(h: &mut Harness) {
         let mut row = 0u64;
         b.iter(|| {
             row = (row + 1) % 4096;
-            black_box(bank.on_activation(row))
+            bank.on_activation(row, sink)
         })
     });
     // Scattered rows of one bank, looked up through a set-index memo
@@ -224,7 +229,7 @@ fn bench_structures(h: &mut Harness) {
         let mut row = 0u64;
         b.iter(|| {
             row = (row + 9_973) % 131_072;
-            black_box(bank.on_activation(row))
+            bank.on_activation(row, sink)
         })
     });
     h.bench("bank_rrs/hammer_with_swaps", |b| {
@@ -232,7 +237,7 @@ fn bench_structures(h: &mut Harness) {
             || BankRrs::new(cfg, 0),
             |mut bank| {
                 for _ in 0..1_600 {
-                    black_box(bank.on_activation(7));
+                    bank.on_activation(7, sink);
                 }
                 bank
             },
@@ -264,7 +269,7 @@ fn bench_structures(h: &mut Harness) {
         } else {
             victim + 1
         };
-        bank.on_activation(row)
+        bank.on_activation(row, sink)
     };
     for _ in 0..3 * epoch_activations {
         hammer();

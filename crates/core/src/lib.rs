@@ -9,15 +9,15 @@
 //!
 //! * [`tracker`] — the Misra-Gries Hot-Row Tracker (HRT, §4.2), in both the
 //!   CAM reference form and the scalable CAT form with SetMin counters
-//!   (§6.4);
+//!   (§6.4), plus the counting-Bloom-filter and stateless probabilistic
+//!   triggers RRS also runs on;
 //! * [`rit`] — the Row Indirection Table (RIT, §4.3/§6.3) with lock bits and
 //!   lazy epoch draining;
 //! * [`cat`] — the Collision Avoidance Table (§6.1–6.2), the conflict-free
 //!   associative substrate both structures share;
 //! * [`prince`] / [`prng`] — the PRINCE low-latency cipher and the CTR-mode
 //!   PRNG that generates swap destinations (§4.4);
-//! * [`rrs`] — the assembled engine: [`Rrs`] (system-wide) and [`BankRrs`]
-//!   (per bank);
+//! * [`rrs`] — the assembled per-bank engine, [`BankRrs`];
 //! * [`detector`] — the optional attack-detection co-design (§5.3.2 fn. 2);
 //! * [`audit`] — debug-gated ghost-state audits of the RIT permutation
 //!   and CAT occupancy invariants.
@@ -25,25 +25,22 @@
 //! # Quick start
 //!
 //! ```
-//! use rrs_core::{Rrs, RrsConfig, RrsAction};
-//! use rrs_dram::geometry::{DramGeometry, RowAddr};
+//! use rrs_core::{BankRrs, RrsAction, RrsConfig};
 //!
 //! // A small design point: T_RH = 60 ⇒ swap every T_RRS = 10 activations.
 //! let config = RrsConfig::for_threshold(60, 1_000, 1_024);
-//! let mut rrs = Rrs::new(config, DramGeometry::tiny_test());
+//! let mut bank = BankRrs::new(config, 0);
 //!
-//! let aggressor = RowAddr::new(0, 0, 0, 7);
+//! let aggressor = 7;
 //! let mut swapped = false;
 //! for _ in 0..10 {
-//!     for action in rrs.on_activation(aggressor) {
-//!         if let RrsAction::Swap(_) = action {
-//!             swapped = true;
-//!         }
-//!     }
+//!     bank.on_activation(aggressor, |action| {
+//!         swapped |= matches!(action, RrsAction::Swap(_));
+//!     });
 //! }
 //! assert!(swapped);
 //! // The hammered row no longer lives at its home location.
-//! assert_ne!(rrs.resolve(aggressor), aggressor);
+//! assert_ne!(bank.resolve(aggressor), aggressor);
 //! ```
 
 pub mod audit;
@@ -63,7 +60,8 @@ pub use prince::Prince;
 pub use prng::PrinceCtrRng;
 pub use rit::{PhysicalSwap, RitError, RowIndirectionTable};
 pub use rng::DetRng;
-pub use rrs::{BankRrs, BankRrsStats, Rrs, RrsAction, RrsConfig, DEFAULT_K};
+pub use rrs::{BankRrs, BankRrsStats, RrsAction, RrsConfig, DEFAULT_K};
 pub use tracker::{
-    AccessVerdict, CamTracker, CatTracker, CbfTracker, HotRowTracker, TrackerConfig,
+    AccessVerdict, CamTracker, CatTracker, CbfTracker, HotRowTracker, ProbabilisticTrigger,
+    TrackerConfig,
 };

@@ -2,17 +2,17 @@
 //! (§4 of the paper).
 //!
 //! [`BankRrs`] is the per-bank unit (the paper provisions an HRT and RIT per
-//! bank, Table 5); [`Rrs`] aggregates one unit per bank of a
-//! [`DramGeometry`] and exposes the row-address-level API that a memory
-//! controller consumes:
+//! bank, Table 5) and the only swap engine; [`BankRrs::for_banks`] builds
+//! one per bank. The unit exposes the row-level API a memory controller
+//! consumes:
 //!
-//! 1. every access resolves through the RIT ([`Rrs::resolve`]),
-//! 2. every activation feeds the tracker ([`Rrs::on_activation`]), which may
-//!    return swap directives the controller must execute and charge.
+//! 1. every access resolves through the RIT ([`BankRrs::resolve`]),
+//! 2. every activation feeds the tracker ([`BankRrs::on_activation`]), which
+//!    may emit swap directives the controller must execute and charge.
 
 use std::rc::Rc;
 
-use rrs_dram::geometry::{DramGeometry, RowAddr};
+use rrs_telemetry::Counter;
 
 use crate::cat::SetIndexMemo;
 use crate::detector::{DetectorConfig, SwapDetector};
@@ -142,8 +142,9 @@ pub struct BankRrsStats {
     /// Destination re-generations because the first random pick was in the
     /// HRT/RIT (§4.4 predicts < 1% need more than one retry).
     pub destination_retries: u64,
-    /// Swaps abandoned because the RIT was full of locked entries (must be
-    /// zero when the configuration honours the paper's sizing rule).
+    /// Swaps that were due but dropped: the RIT was full of locked
+    /// entries, no destination was found, or the RIT refused the swap.
+    /// Also counted in the `rrs.capacity_stalls` registry counter.
     pub capacity_stalls: u64,
 }
 
@@ -153,7 +154,9 @@ pub struct BankRrsStats {
 /// Generic over the tracking mechanism (§4.2: RRS "can be implemented with
 /// any tracking mechanism"); the default is the paper's scalable
 /// Misra-Gries [`CatTracker`]. See [`crate::tracker::CbfTracker`] for the
-/// counting-Bloom-filter alternative used by the ablation benches.
+/// counting-Bloom-filter alternative used by the ablation benches and
+/// [`crate::tracker::ProbabilisticTrigger`] for footnote 1's stateless
+/// probabilistic row-swap.
 #[derive(Debug, Clone)]
 pub struct BankRrs<T: HotRowTracker = CatTracker> {
     config: RrsConfig,
@@ -162,6 +165,7 @@ pub struct BankRrs<T: HotRowTracker = CatTracker> {
     prng: PrinceCtrRng,
     detector: Option<SwapDetector>,
     stats: BankRrsStats,
+    capacity_stalls: Counter,
 }
 
 impl BankRrs<CatTracker> {
@@ -170,6 +174,15 @@ impl BankRrs<CatTracker> {
     /// across banks.
     pub fn new(config: RrsConfig, bank_index: u64) -> Self {
         Self::sharing_memo(config, bank_index, tracker_memo(&config))
+    }
+
+    /// One unit per bank, `0..banks`, whose trackers share one set-index
+    /// memo.
+    pub fn for_banks(config: RrsConfig, banks: usize) -> Vec<Self> {
+        let memo = tracker_memo(&config);
+        (0..banks)
+            .map(|i| Self::sharing_memo(config, i as u64, memo.clone()))
+            .collect()
     }
 
     /// [`BankRrs::new`] with the tracker's set indices served by `memo`.
@@ -205,6 +218,7 @@ impl<T: HotRowTracker> BankRrs<T> {
             prng: PrinceCtrRng::new(seed),
             detector: config.detector.map(SwapDetector::new),
             stats: BankRrsStats::default(),
+            capacity_stalls: Counter::default(),
         }
     }
 
@@ -214,11 +228,12 @@ impl<T: HotRowTracker> BankRrs<T> {
     }
 
     /// Adopts a shared telemetry spine, forwarding it to the tracker and
-    /// the RIT (all banks share the `hrt.*` / `cat.*` / `rit.tlb.*`
-    /// aggregate counters by name).
+    /// the RIT (all banks share the `hrt.*` / `cat.*` / `rit.tlb.*` /
+    /// `rrs.capacity_stalls` aggregate counters by name).
     pub fn attach_telemetry(&mut self, telemetry: &rrs_telemetry::Telemetry) {
         self.tracker.attach_telemetry(telemetry);
         self.rit.attach_telemetry(telemetry);
+        self.capacity_stalls = telemetry.counter("rrs.capacity_stalls");
     }
 
     /// Physical row currently holding logical `row` (§4.1 steps ①–③).
@@ -241,57 +256,56 @@ impl<T: HotRowTracker> BankRrs<T> {
         self.stats
     }
 
-    /// Records one activation of logical `row`; returns the physical
-    /// operations the controller must now perform, in order.
-    pub fn on_activation(&mut self, row: u64) -> Vec<RrsAction> {
-        let verdict = self.tracker.record_access(row);
-        if !verdict.swap_due {
-            return Vec::new();
+    /// Records one activation of logical `row`; passes the physical
+    /// operations the controller must now perform to `emit`, in order.
+    pub fn on_activation(&mut self, row: u64, mut emit: impl FnMut(RrsAction)) {
+        if !self.tracker.record_access(row).swap_due {
+            return;
         }
-        let mut actions = Vec::with_capacity(2);
         // Make room: a swap can consume up to two tuples (§4.5).
         while self.rit.tuples_in_use() + 2 > self.rit.tuple_capacity() {
             let pick = self.prng.next_u64();
             match self.rit.evict_one(pick) {
                 Some(ps) => {
                     self.stats.unswaps += 1;
-                    actions.push(RrsAction::Unswap(ps));
+                    emit(RrsAction::Unswap(ps));
                 }
                 None => {
-                    // All entries locked: cannot swap safely. With the
-                    // paper's sizing this is unreachable; record and bail.
-                    self.stats.capacity_stalls += 1;
-                    return actions;
+                    // All entries locked: cannot swap safely. The paper's
+                    // sizing does not rule this out: a sustained attack can
+                    // fill the RIT with this epoch's swaps. Record and bail.
+                    self.record_stall();
+                    return;
                 }
             }
         }
-        let dest = match self.pick_destination(row) {
-            Some(d) => d,
-            None => {
-                self.stats.capacity_stalls += 1;
-                return actions;
-            }
+        let Some(dest) = self.pick_destination(row) else {
+            self.record_stall();
+            return;
         };
         match self.rit.swap(row, dest) {
             Ok(ps) => {
                 self.stats.swaps += 1;
                 self.stats.epoch_swaps += 1;
-                actions.push(RrsAction::Swap(ps));
+                emit(RrsAction::Swap(ps));
                 if let Some(det) = &mut self.detector {
                     if det.record_swap(row) {
-                        actions.push(RrsAction::Alarm { row });
+                        emit(RrsAction::Alarm { row });
                     }
                 }
             }
-            Err(RitError::CapacityExhausted) | Err(RitError::DegenerateSwap(_)) => {
-                self.stats.capacity_stalls += 1;
-            }
-            Err(RitError::TableConflict) => {
-                // Astronomically rare per Figure 9; treat as a stall.
-                self.stats.capacity_stalls += 1;
-            }
+            // A table conflict is astronomically rare per Figure 9; all
+            // three refusals are stalls.
+            Err(RitError::CapacityExhausted)
+            | Err(RitError::DegenerateSwap(_))
+            | Err(RitError::TableConflict) => self.record_stall(),
         }
-        actions
+    }
+
+    /// Counts one swap that was due but dropped.
+    fn record_stall(&mut self) {
+        self.stats.capacity_stalls += 1;
+        self.capacity_stalls.inc();
     }
 
     /// Picks a random destination row "from all the rows in the bank",
@@ -327,88 +341,6 @@ impl<T: HotRowTracker> BankRrs<T> {
 /// Seed-diversification tag for the RIT hash keys ("RIT_TAG").
 const RIT_SEED_TAG: u128 = 0x0052_4954_5f54_4147;
 
-/// System-wide RRS: one [`BankRrs`] per bank of a geometry.
-#[derive(Debug, Clone)]
-pub struct Rrs {
-    config: RrsConfig,
-    geometry: DramGeometry,
-    banks: Vec<BankRrs>,
-}
-
-impl Rrs {
-    /// Creates an engine covering every bank of `geometry`. The banks'
-    /// trackers share one set-index memo.
-    pub fn new(config: RrsConfig, geometry: DramGeometry) -> Self {
-        let memo = tracker_memo(&config);
-        let banks = (0..geometry.total_banks())
-            .map(|i| BankRrs::sharing_memo(config, i as u64, memo.clone()))
-            .collect();
-        Rrs {
-            config,
-            geometry,
-            banks,
-        }
-    }
-
-    /// The engine's configuration.
-    pub fn config(&self) -> &RrsConfig {
-        &self.config
-    }
-
-    /// Adopts a shared telemetry spine across every bank unit.
-    pub fn attach_telemetry(&mut self, telemetry: &rrs_telemetry::Telemetry) {
-        for b in &mut self.banks {
-            b.attach_telemetry(telemetry);
-        }
-    }
-
-    /// The geometry the engine covers.
-    pub fn geometry(&self) -> &DramGeometry {
-        &self.geometry
-    }
-
-    fn unit(&self, addr: RowAddr) -> &BankRrs {
-        // lint: allow(index-panic) — `bank_index` is `< geometry.total_banks()` by construction and `banks` has exactly that length
-        &self.banks[addr.bank_index(&self.geometry)]
-    }
-
-    fn unit_mut(&mut self, addr: RowAddr) -> &mut BankRrs {
-        // lint: allow(index-panic) — `bank_index` is `< geometry.total_banks()` by construction and `banks` has exactly that length
-        &mut self.banks[addr.bank_index(&self.geometry)]
-    }
-
-    /// Resolves a logical row address to the physical row currently holding
-    /// it (identity unless swapped).
-    pub fn resolve(&self, addr: RowAddr) -> RowAddr {
-        // lint: allow(narrow-cast) — the RIT only maps rows previously fed in from this bank's u32 row space, so the resolved row fits
-        addr.with_row(self.unit(addr).resolve(addr.row.0 as u64) as u32)
-    }
-
-    /// Records one activation at `addr` (the *logical* address the
-    /// controller received); returns physical operations to execute, with
-    /// row ids scoped to `addr`'s bank.
-    pub fn on_activation(&mut self, addr: RowAddr) -> Vec<RrsAction> {
-        self.unit_mut(addr).on_activation(addr.row.0 as u64)
-    }
-
-    /// Extra per-access controller latency (the RIT lookup).
-    pub fn access_latency(&self) -> u64 {
-        self.config.rit_lookup_cycles
-    }
-
-    /// Epoch boundary across all banks.
-    pub fn end_epoch(&mut self) {
-        for b in &mut self.banks {
-            b.end_epoch();
-        }
-    }
-
-    /// Per-bank units, for inspection.
-    pub fn banks(&self) -> &[BankRrs] {
-        &self.banks
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -416,6 +348,13 @@ mod tests {
     fn small_config() -> RrsConfig {
         // T_RH = 60, T_RRS = 10, small bank for fast tests.
         RrsConfig::for_threshold(60, 1_000, 1_024)
+    }
+
+    /// The actions one activation of `row` emits.
+    fn activate(b: &mut BankRrs, row: u64) -> Vec<RrsAction> {
+        let mut actions = Vec::new();
+        b.on_activation(row, |a| actions.push(a));
+        actions
     }
 
     #[test]
@@ -447,7 +386,7 @@ mod tests {
     fn no_swap_below_threshold() {
         let mut b = BankRrs::new(small_config(), 0);
         for _ in 0..9 {
-            assert!(b.on_activation(7).is_empty());
+            assert!(activate(&mut b, 7).is_empty());
         }
         assert_eq!(b.stats().swaps, 0);
     }
@@ -457,7 +396,7 @@ mod tests {
         let mut b = BankRrs::new(small_config(), 0);
         let mut actions = Vec::new();
         for _ in 0..10 {
-            actions = b.on_activation(7);
+            actions = activate(&mut b, 7);
         }
         assert_eq!(b.stats().swaps, 1);
         let swap = actions
@@ -478,7 +417,7 @@ mod tests {
         let mut b = BankRrs::new(small_config(), 0);
         let mut locations = vec![b.resolve(7)];
         for _ in 0..50 {
-            b.on_activation(7);
+            b.on_activation(7, |_| {});
             let loc = b.resolve(7);
             if loc != *locations.last().unwrap() {
                 locations.push(loc);
@@ -502,7 +441,7 @@ mod tests {
         for round in 0..30u64 {
             for row in 0..5 {
                 for _ in 0..2 {
-                    b.on_activation(row + round % 3);
+                    b.on_activation(row + round % 3, |_| {});
                 }
             }
         }
@@ -516,7 +455,7 @@ mod tests {
     fn end_epoch_resets_tracker_and_unlocks_rit() {
         let mut b = BankRrs::new(small_config(), 0);
         for _ in 0..10 {
-            b.on_activation(3);
+            b.on_activation(3, |_| {});
         }
         assert_eq!(b.stats().epoch_swaps, 1);
         let epoch_swaps = b.end_epoch();
@@ -536,7 +475,7 @@ mod tests {
         let mut b = BankRrs::new(cfg, 0);
         let mut alarms = 0;
         for _ in 0..20 {
-            for a in b.on_activation(9) {
+            for a in activate(&mut b, 9) {
                 if matches!(a, RrsAction::Alarm { row: 9 }) {
                     alarms += 1;
                 }
@@ -546,27 +485,9 @@ mod tests {
     }
 
     #[test]
-    fn multi_bank_rrs_isolates_banks() {
-        let geom = DramGeometry::tiny_test();
-        let mut rrs = Rrs::new(small_config(), geom);
-        let a = RowAddr::new(0, 0, 0, 7);
-        let b = RowAddr::new(0, 0, 1, 7);
-        let actions: Vec<RrsAction> = (0..10).flat_map(|_| rrs.on_activation(a)).collect();
-        // Bank 0's row 7 swapped; bank 1's row 7 untouched.
-        assert_ne!(rrs.resolve(a), a);
-        assert_eq!(rrs.resolve(b), b);
-        let swaps = actions
-            .iter()
-            .filter(|x| matches!(x, RrsAction::Swap(_)))
-            .count();
-        assert_eq!(swaps, 1);
-    }
-
-    #[test]
     fn banks_share_one_tracker_memo() {
-        let rrs = Rrs::new(small_config(), DramGeometry::tiny_test());
-        let memos: Vec<_> = rrs
-            .banks()
+        let banks = BankRrs::for_banks(small_config(), 4);
+        let memos: Vec<_> = banks
             .iter()
             .map(|b| b.tracker().set_memo().expect("tracker memo attached"))
             .collect();
@@ -580,20 +501,6 @@ mod tests {
     }
 
     #[test]
-    fn resolve_preserves_bank_coordinates() {
-        let geom = DramGeometry::tiny_test();
-        let mut rrs = Rrs::new(small_config(), geom);
-        let a = RowAddr::new(0, 0, 1, 3);
-        for _ in 0..10 {
-            rrs.on_activation(a);
-        }
-        let r = rrs.resolve(a);
-        assert_eq!(r.channel, a.channel);
-        assert_eq!(r.bank, a.bank);
-        assert_ne!(r.row, a.row);
-    }
-
-    #[test]
     fn rrs_works_with_a_cbf_tracker() {
         // §4.2: RRS composes with any tracking mechanism. A CBF-tracked
         // unit must still swap a hammered row away within T_RRS-ish
@@ -602,7 +509,7 @@ mod tests {
         let tracker = crate::tracker::CbfTracker::new(cfg.t_rrs, 1_024, 3, 0xCBF);
         let mut b = BankRrs::with_tracker(cfg, 0, tracker);
         for _ in 0..10 {
-            b.on_activation(7);
+            b.on_activation(7, |_| {});
         }
         assert!(
             b.stats().swaps >= 1,
@@ -618,10 +525,14 @@ mod tests {
         let mut cfg = small_config();
         cfg.rit_tuples = 1;
         let mut b = BankRrs::new(cfg, 0);
+        let spine = rrs_telemetry::Telemetry::new();
+        b.attach_telemetry(&spine);
         for _ in 0..10 {
-            b.on_activation(4);
+            b.on_activation(4, |_| {});
         }
         assert_eq!(b.stats().swaps, 0);
         assert!(b.stats().capacity_stalls > 0);
+        let counted = spine.counter("rrs.capacity_stalls").get();
+        assert_eq!(counted, b.stats().capacity_stalls);
     }
 }

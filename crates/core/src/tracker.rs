@@ -711,6 +711,61 @@ impl HotRowTracker for CbfTracker {
     }
 }
 
+/// The stateless trigger of §4.2 footnote 1: "a probabilistic version of
+/// RRS, similar to PARA, where the row-swap is triggered with probability
+/// p on each row activation". It tracks nothing, so a `BankRrs` driven by
+/// it excludes only RIT rows when it picks a destination, and its swaps
+/// scale with total traffic rather than with the number of hot rows.
+#[derive(Debug, Clone)]
+pub struct ProbabilisticTrigger {
+    p: f64,
+    prng: crate::prng::PrinceCtrRng,
+}
+
+impl ProbabilisticTrigger {
+    /// Creates a trigger firing with probability `p` per activation, drawn
+    /// from a PRINCE-CTR stream keyed by `seed`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is not in `(0, 1]`.
+    pub fn new(p: f64, seed: u128) -> Self {
+        assert!(p > 0.0 && p <= 1.0, "probability out of range");
+        ProbabilisticTrigger {
+            p,
+            prng: crate::prng::PrinceCtrRng::new(seed),
+        }
+    }
+}
+
+impl HotRowTracker for ProbabilisticTrigger {
+    fn record_access(&mut self, _row: u64) -> AccessVerdict {
+        AccessVerdict {
+            swap_due: self.prng.next_bool(self.p),
+            estimated_count: 0,
+        }
+    }
+
+    fn contains(&self, _row: u64) -> bool {
+        false
+    }
+
+    fn count_of(&self, _row: u64) -> Option<u64> {
+        None
+    }
+
+    fn len(&self) -> usize {
+        0
+    }
+
+    fn spill(&self) -> u64 {
+        0
+    }
+
+    /// Nothing to clear: the coin's stream continues across epochs.
+    fn reset(&mut self) {}
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -501,7 +501,7 @@ fn out_of_domain_swaps_stall() {
     let config = RrsConfig::for_threshold(60, 1_000, 1_024);
     let mut bank = BankRrs::new(config, 0);
     for _ in 0..config.t_rrs {
-        assert!(bank.on_activation(row).is_empty());
+        bank.on_activation(row, |a| panic!("unexpected {a:?}"));
     }
     assert_eq!(bank.stats().swaps, 0);
     assert_eq!(bank.stats().capacity_stalls, 1);

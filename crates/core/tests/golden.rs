@@ -90,9 +90,8 @@ fn differential_run(stream: impl Iterator<Item = u64>, epochs_every: usize) {
     let mut golden = GoldenModel::new(config.t_rrs);
 
     for (i, row) in stream.enumerate() {
-        let actions = engine.on_activation(row);
         let mut dest = None;
-        for a in &actions {
+        engine.on_activation(row, |a| {
             match a {
                 RrsAction::Swap(ps) => {
                     // Recover the chosen destination: the swap exchanges
@@ -105,7 +104,7 @@ fn differential_run(stream: impl Iterator<Item = u64>, epochs_every: usize) {
                 RrsAction::Unswap(_) => panic!("RIT eviction in oversized table"),
                 RrsAction::Alarm { .. } => {}
             }
-        }
+        });
         golden.on_activation(row, dest);
 
         // Check a window of rows around the accessed one.
@@ -164,7 +163,7 @@ fn golden_model_confirms_per_location_bound() {
     for _ in 0..1_000u64 {
         let physical = engine.resolve(7);
         *per_location.entry((7, physical)).or_insert(0) += 1;
-        engine.on_activation(7);
+        engine.on_activation(7, |_| {});
     }
     for ((logical, physical), acts) in per_location {
         assert!(

@@ -9,11 +9,11 @@
 //! | Module | Defense | Paper role |
 //! |---|---|---|
 //! | [`rrs`] | Randomized Row-Swap | the contribution (§4) |
+//! | [`rrs`] (`RrsMitigation::probabilistic`) | Probabilistic row-swap | footnote-1 ablation |
 //! | [`blockhammer`] | BlockHammer (BL=512/1K) | aggressor-focused baseline (§8.1, Fig. 11) |
 //! | [`victim_refresh`] | Idealized victim-focused refresh | Table 7 baseline; Half-Double victim (§2.5) |
 //! | [`graphene`] | Graphene (real Misra-Gries + victim refresh) | the tracker RRS builds on, as originally deployed |
 //! | [`para`] | PARA | stateless victim-focused baseline (§2.4) |
-//! | [`prob_rrs`] | Probabilistic row-swap | footnote-1 ablation |
 //! | [`rrs_mem_ctrl::NoMitigation`] | nothing | undefended baseline |
 //!
 //! # Example
@@ -34,14 +34,12 @@
 pub mod blockhammer;
 pub mod graphene;
 pub mod para;
-pub mod prob_rrs;
 pub mod rrs;
 pub mod victim_refresh;
 
 pub use blockhammer::{BlockHammer, BlockHammerConfig};
 pub use graphene::{Graphene, GrapheneConfig};
 pub use para::Para;
-pub use prob_rrs::ProbabilisticRrs;
 pub use rrs::RrsMitigation;
 pub use victim_refresh::{VictimRefresh, VictimRefreshConfig};
 
@@ -114,13 +112,12 @@ pub mod factory {
         timing: &TimingParams,
     ) -> Box<dyn Mitigation> {
         let act_max = timing.max_activations_per_epoch();
+        let rrs =
+            || rrs_core::RrsConfig::for_threshold(t_rh, act_max, geometry.rows_per_bank as u64);
         let seed = 0xBEEF_CAFE;
         match kind {
             MitigationKind::None => Box::new(NoMitigation::new()),
-            MitigationKind::Rrs => Box::new(RrsMitigation::new(
-                rrs_core::RrsConfig::for_threshold(t_rh, act_max, geometry.rows_per_bank as u64),
-                geometry,
-            )),
+            MitigationKind::Rrs => Box::new(RrsMitigation::new(rrs(), geometry)),
             // Blacklist thresholds scale with T_RH (512 and 1024 at the
             // paper's 4.8K point), clamped into the safe range.
             MitigationKind::BlockHammer512 => Box::new(BlockHammer::new(
@@ -155,8 +152,7 @@ pub mod factory {
             )),
             MitigationKind::Para => Box::new(Para::for_threshold(t_rh, geometry, seed)),
             MitigationKind::ProbabilisticRrs => {
-                let t_rrs = (t_rh / rrs_core::DEFAULT_K).max(1);
-                Box::new(ProbabilisticRrs::for_t_rrs(t_rrs, act_max, geometry, seed))
+                Box::new(RrsMitigation::probabilistic(rrs(), geometry))
             }
         }
     }

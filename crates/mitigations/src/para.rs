@@ -6,7 +6,7 @@
 //! mitigation with probability `(1 - p)^A` — so `p` must grow as `T_RH`
 //! shrinks, which is why the paper's footnote 1 dismisses stateless
 //! approaches at low thresholds (the same argument applies to a stateless
-//! probabilistic row-swap; see `prob_rrs`).
+//! probabilistic row-swap; see `RrsMitigation::probabilistic`).
 
 use rrs_core::prng::PrinceCtrRng;
 use rrs_dram::geometry::{DramGeometry, RowAddr};

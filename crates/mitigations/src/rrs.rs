@@ -1,7 +1,15 @@
 //! The Randomized Row-Swap defense, adapted to the controller's
-//! [`Mitigation`] interface.
+//! [`Mitigation`] interface: one [`BankRrs`] per bank.
+//!
+//! The trigger is the unit's tracker (§4.2: RRS "can be implemented with
+//! any tracking mechanism"). The paper's design uses the Misra-Gries
+//! [`CatTracker`]; [`RrsMitigation::probabilistic`] builds the footnote-1
+//! strawman, which swaps with probability `p = 1/T_RRS` on every
+//! activation, so its swaps scale with total traffic instead of with the
+//! number of genuinely hot rows.
 
-use rrs_core::rrs::{Rrs, RrsAction, RrsConfig};
+use rrs_core::rrs::{BankRrs, RrsAction, RrsConfig};
+use rrs_core::tracker::{CatTracker, HotRowTracker, ProbabilisticTrigger};
 use rrs_dram::geometry::{DramGeometry, RowAddr};
 use rrs_dram::timing::Cycle;
 use rrs_mem_ctrl::mitigation::{Mitigation, MitigationAction};
@@ -9,17 +17,22 @@ use rrs_mem_ctrl::mitigation::{Mitigation, MitigationAction};
 /// RRS as a pluggable mitigation: RIT-resolved accesses, tracker-driven
 /// random swaps, optional detector escalation.
 #[derive(Debug, Clone)]
-pub struct RrsMitigation {
-    engine: Rrs,
+pub struct RrsMitigation<T: HotRowTracker = CatTracker> {
+    config: RrsConfig,
+    geometry: DramGeometry,
+    banks: Vec<BankRrs<T>>,
     name: String,
 }
 
 impl RrsMitigation {
-    /// Creates the defense for `geometry` at the given design point.
+    /// Creates the defense for `geometry` at the given design point. The
+    /// banks' trackers share one set-index memo.
     pub fn new(config: RrsConfig, geometry: DramGeometry) -> Self {
         RrsMitigation {
             name: format!("rrs-t{}", config.t_rrs),
-            engine: Rrs::new(config, geometry),
+            banks: BankRrs::for_banks(config, geometry.total_banks()),
+            config,
+            geometry,
         }
     }
 
@@ -27,48 +40,82 @@ impl RrsMitigation {
     pub fn asplos22(geometry: DramGeometry) -> Self {
         Self::new(RrsConfig::asplos22(), geometry)
     }
+}
 
-    /// The underlying engine, for inspection.
-    pub fn engine(&self) -> &Rrs {
-        &self.engine
+impl RrsMitigation<ProbabilisticTrigger> {
+    /// Footnote 1's probabilistic row-swap at the design point `config`:
+    /// `p = 1/T_RRS`, so an aggressor is expected to be swapped within
+    /// `T_RRS` activations, and an RIT of `4 × ⌊ACT_max/T_RRS⌋` tuples per
+    /// bank for the larger swap volume.
+    pub fn probabilistic(mut config: RrsConfig, geometry: DramGeometry) -> Self {
+        config.rit_tuples = 4 * ((config.act_max / config.t_rrs) as usize).max(1);
+        let p = 1.0 / config.t_rrs as f64;
+        let banks = (0..geometry.total_banks())
+            .map(|i| {
+                let seed = config.seed ^ PROB_SEED_TAG ^ ((i as u128) << 32);
+                BankRrs::with_tracker(config, i as u64, ProbabilisticTrigger::new(p, seed))
+            })
+            .collect();
+        RrsMitigation {
+            name: format!("prob-rrs-p{p:.5}"),
+            config,
+            geometry,
+            banks,
+        }
     }
 }
 
-impl Mitigation for RrsMitigation {
+/// Seed-diversification tag for the probabilistic triggers ("PROB").
+const PROB_SEED_TAG: u128 = 0x5052_4f42;
+
+impl<T: HotRowTracker> RrsMitigation<T> {
+    /// The per-bank engines, indexed by [`RowAddr::bank_index`].
+    pub fn banks(&self) -> &[BankRrs<T>] {
+        &self.banks
+    }
+}
+
+impl<T: HotRowTracker> Mitigation for RrsMitigation<T> {
     fn name(&self) -> &str {
         &self.name
     }
 
     fn resolve(&self, row: RowAddr) -> RowAddr {
-        self.engine.resolve(row)
+        let bank = &self.banks[row.bank_index(&self.geometry)];
+        row.with_row(bank.resolve(row.row.0 as u64) as u32)
     }
 
     fn access_latency(&self) -> Cycle {
-        self.engine.access_latency()
+        self.config.rit_lookup_cycles
     }
 
     fn on_activation(&mut self, row: RowAddr, _at: Cycle, actions: &mut Vec<MitigationAction>) {
-        for action in self.engine.on_activation(row) {
-            match action {
-                RrsAction::Swap(ps) => actions.push(MitigationAction::RowSwap {
+        let bank = &mut self.banks[row.bank_index(&self.geometry)];
+        bank.on_activation(row.row.0 as u64, |action| {
+            actions.push(match action {
+                RrsAction::Swap(ps) => MitigationAction::RowSwap {
                     a: row.with_row(ps.row_a as u32),
                     b: row.with_row(ps.row_b as u32),
-                }),
-                RrsAction::Unswap(ps) => actions.push(MitigationAction::RowUnswap {
+                },
+                RrsAction::Unswap(ps) => MitigationAction::RowUnswap {
                     a: row.with_row(ps.row_a as u32),
                     b: row.with_row(ps.row_b as u32),
-                }),
-                RrsAction::Alarm { .. } => actions.push(MitigationAction::FullRefresh),
-            }
-        }
+                },
+                RrsAction::Alarm { .. } => MitigationAction::FullRefresh,
+            })
+        });
     }
 
     fn on_epoch_end(&mut self, _now: Cycle, _actions: &mut Vec<MitigationAction>) {
-        self.engine.end_epoch();
+        for bank in &mut self.banks {
+            bank.end_epoch();
+        }
     }
 
     fn attach_telemetry(&mut self, telemetry: &rrs_telemetry::Telemetry) {
-        self.engine.attach_telemetry(telemetry);
+        for bank in &mut self.banks {
+            bank.attach_telemetry(telemetry);
+        }
     }
 }
 
@@ -76,11 +123,20 @@ impl Mitigation for RrsMitigation {
 mod tests {
     use super::*;
 
+    fn small_config() -> RrsConfig {
+        // T_RH = 60, T_RRS = 10, a tiny_test-sized bank.
+        RrsConfig::for_threshold(60, 1_000, 1_024)
+    }
+
     fn small() -> RrsMitigation {
-        RrsMitigation::new(
-            RrsConfig::for_threshold(60, 1_000, 1_024),
-            DramGeometry::tiny_test(),
-        )
+        RrsMitigation::new(small_config(), DramGeometry::tiny_test())
+    }
+
+    fn swaps_in(actions: &[MitigationAction]) -> usize {
+        actions
+            .iter()
+            .filter(|a| matches!(a, MitigationAction::RowSwap { .. }))
+            .count()
     }
 
     #[test]
@@ -98,6 +154,22 @@ mod tests {
     }
 
     #[test]
+    fn multi_bank_rrs_isolates_banks() {
+        let mut m = small();
+        let a = RowAddr::new(0, 0, 0, 7);
+        let b = RowAddr::new(0, 0, 1, 7);
+        let mut actions = Vec::new();
+        for _ in 0..10 {
+            m.on_activation(a, 0, &mut actions);
+        }
+        // Bank 0's row 7 swapped; bank 1's row 7 untouched.
+        assert_ne!(m.resolve(a), a);
+        assert_eq!(m.resolve(b), b);
+        assert_eq!(swaps_in(&actions), 1);
+        assert_eq!(m.banks()[1].stats().swaps, 0);
+    }
+
+    #[test]
     fn swap_actions_stay_in_bank() {
         let mut m = small();
         let row = RowAddr::new(0, 0, 1, 3);
@@ -112,6 +184,20 @@ mod tests {
         } else {
             panic!("expected a swap");
         }
+    }
+
+    #[test]
+    fn resolve_preserves_bank_coordinates() {
+        let mut m = small();
+        let a = RowAddr::new(0, 0, 1, 3);
+        let mut actions = Vec::new();
+        for _ in 0..10 {
+            m.on_activation(a, 0, &mut actions);
+        }
+        let r = m.resolve(a);
+        assert_eq!(r.channel, a.channel);
+        assert_eq!(r.bank, a.bank);
+        assert_ne!(r.row, a.row);
     }
 
     #[test]
@@ -135,5 +221,51 @@ mod tests {
             m.on_activation(row, 0, &mut actions);
         }
         assert!(actions.is_empty());
+    }
+
+    #[test]
+    fn swap_rate_tracks_probability() {
+        // T_RH = 120 ⇒ T_RRS = 20 ⇒ p = 0.05; an 800-tuple RIT.
+        let cfg = RrsConfig::for_threshold(120, 4_000, 1_024);
+        let mut m = RrsMitigation::probabilistic(cfg, DramGeometry::tiny_test());
+        let mut actions = Vec::new();
+        for i in 0..4_000u32 {
+            // Spread over rows so the RIT does not saturate.
+            m.on_activation(RowAddr::new(0, 0, 0, i % 500), 0, &mut actions);
+        }
+        let swaps = swaps_in(&actions);
+        assert!((120..=300).contains(&swaps), "swaps = {swaps}");
+    }
+
+    #[test]
+    fn stateless_swaps_far_exceed_tracked_for_uniform_traffic() {
+        // The footnote-1 claim: for traffic with no hot rows, tracked RRS
+        // performs zero swaps while the stateless variant swaps ~p per ACT.
+        let g = DramGeometry::tiny_test();
+        let mut prob = RrsMitigation::probabilistic(small_config(), g);
+        let mut tracked = RrsMitigation::new(small_config(), g);
+        let mut pa = Vec::new();
+        let mut ta = Vec::new();
+        for i in 0..900u32 {
+            // Every row touched at most 9 times: below the tracked threshold.
+            let row = RowAddr::new(0, 0, 0, i % 100);
+            prob.on_activation(row, 0, &mut pa);
+            tracked.on_activation(row, 0, &mut ta);
+        }
+        assert_eq!(swaps_in(&ta), 0);
+        let prob_swaps = swaps_in(&pa);
+        assert!(prob_swaps > 20, "prob swaps = {prob_swaps}");
+    }
+
+    #[test]
+    fn resolve_follows_swaps() {
+        // T_RH = 6 ⇒ T_RRS = 1 ⇒ p = 1: every activation swaps.
+        let cfg = RrsConfig::for_threshold(6, 1_000, 1_024);
+        let mut m = RrsMitigation::probabilistic(cfg, DramGeometry::tiny_test());
+        let row = RowAddr::new(0, 0, 0, 5);
+        let mut actions = Vec::new();
+        m.on_activation(row, 0, &mut actions);
+        assert_eq!(swaps_in(&actions), 1);
+        assert_ne!(m.resolve(row), row);
     }
 }

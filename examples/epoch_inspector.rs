@@ -30,7 +30,7 @@ fn main() {
     println!("\n-- epoch 0: benign traffic (rows 10..20, 8 ACTs each) --");
     for row in 10..20u64 {
         for _ in 0..8 {
-            bank.on_activation(row);
+            bank.on_activation(row, |_| {});
         }
     }
     report(&bank, "after benign traffic");
@@ -40,7 +40,7 @@ fn main() {
     // Phase 2: one hot row — swaps accumulate, mapping persists.
     println!("\n-- epoch 1: one hot row (row 42, 35 ACTs) --");
     for _ in 0..35 {
-        bank.on_activation(42);
+        bank.on_activation(42, |_| {});
     }
     report(&bank, "after hot row");
     println!(
@@ -56,12 +56,12 @@ fn main() {
     println!("\n-- epoch 2: attacker re-hammers row 42 --");
     let mut alarms = 0;
     for _ in 0..60 {
-        for action in bank.on_activation(42) {
+        bank.on_activation(42, |action| {
             if let RrsAction::Alarm { row } = action {
                 alarms += 1;
                 println!("  !! detector alarm: row {row} swapped repeatedly this epoch");
             }
-        }
+        });
     }
     report(&bank, "after attack burst");
     println!("  alarms raised: {alarms} (escalation: preemptive full-memory refresh)");
@@ -72,7 +72,7 @@ fn main() {
     let before = bank.rit().tuples_in_use();
     for row in 100..140u64 {
         for _ in 0..10 {
-            bank.on_activation(row);
+            bank.on_activation(row, |_| {});
         }
     }
     let after = bank.rit().tuples_in_use();

@@ -99,14 +99,15 @@ fn figure2_flow() {
     let row = 42u64;
     println!("  ① access row {row}: RIT lookup -> {}", bank.resolve(row));
     for i in 1..=10 {
-        let actions = bank.on_activation(row);
-        if let Some(RrsAction::Swap(ps)) = actions.first() {
-            println!("  ④ HRT: activation #{i} crossed T_RRS={}", config.t_rrs);
-            println!(
-                "  ⑤ PRNG destination chosen; physical {} <-> {}",
-                ps.row_a, ps.row_b
-            );
-        }
+        bank.on_activation(row, |action| {
+            if let RrsAction::Swap(ps) = action {
+                println!("  ④ HRT: activation #{i} crossed T_RRS={}", config.t_rrs);
+                println!(
+                    "  ⑤ PRNG destination chosen; physical {} <-> {}",
+                    ps.row_a, ps.row_b
+                );
+            }
+        });
     }
     println!(
         "  ② next access to row {row} redirects to physical {}\n",
@@ -124,8 +125,9 @@ fn figure7_attacker_round() {
     let mut acts = 0;
     loop {
         acts += 1;
-        let actions = bank.on_activation(target);
-        if !actions.is_empty() {
+        let mut fired = false;
+        bank.on_activation(target, |_| fired = true);
+        if fired {
             break;
         }
     }

@@ -24,8 +24,9 @@ fn main() {
 
     println!("\nhammering logical row {aggressor}:");
     for act in 1..=30u64 {
-        let actions = bank.on_activation(aggressor);
-        for action in &actions {
+        let mut quiet = true;
+        bank.on_activation(aggressor, |action| {
+            quiet = false;
             match action {
                 RrsAction::Swap(ps) => println!(
                     "  ACT #{act:>2}: tracker hit a multiple of T_RRS -> swapped \
@@ -38,8 +39,8 @@ fn main() {
                 ),
                 RrsAction::Alarm { row } => println!("  ACT #{act:>2}: detector alarm on {row}"),
             }
-        }
-        if actions.is_empty() && act % 10 == 1 {
+        });
+        if quiet && act % 10 == 1 {
             println!(
                 "  ACT #{act:>2}: row {} currently lives at physical row {}",
                 aggressor,
