@@ -14,6 +14,11 @@
 //! h.finish();
 //! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "a benchmark harness measures wall-clock time; no simulated result reads it"
+)]
+
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 

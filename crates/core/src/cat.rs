@@ -410,6 +410,10 @@ impl<V: Copy + Default> Cat<V> {
 
     /// Both candidate sets of `tag`, computed by the two keyed PRINCE
     /// hashes in one two-lane pass.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "only the low bits below the power-of-two `mask` are kept"
+    )]
     pub(crate) fn hashed_sets(&self, tag: u64) -> (usize, usize) {
         let mask = self.config.sets - 1;
         let [h0, h1] = &self.hashers;
@@ -902,6 +906,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "tags below 10 fit a u32")]
     fn iter_sees_all_entries() -> Result<(), CatConflict> {
         let mut cat = small();
         for tag in 0..10u64 {

@@ -186,6 +186,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "draws < 8 index 8 buckets")]
     fn next_below_covers_small_ranges_uniformly() {
         let mut r = PrinceCtrRng::new(9);
         let mut counts = [0u32; 8];

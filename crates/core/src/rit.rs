@@ -438,6 +438,10 @@ impl RowIndirectionTable {
         // Scan from a random starting entry and take the first eligible
         // victim: equivalent to a uniform pick over a rotation of the
         // candidate order, without paying a lookup per resident entry.
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "any bits of the random `pick` make a start; it is reduced mod `len`"
+        )]
         let start = (pick as usize) % len;
         let (victim, occupant, occupant_at) =
             self.forward.iter_from(start).find_map(|(logical, e)| {

@@ -92,6 +92,10 @@ impl DetRng {
 
     /// Uniform draw in `[lo, hi)` for `usize` ranges.
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the draw is below `hi - lo`, which came from a usize"
+    )]
     pub fn next_range_usize(&mut self, lo: usize, hi: usize) -> usize {
         assert!(lo < hi, "empty range");
         lo + self.next_below((hi - lo) as u64) as usize
@@ -142,6 +146,7 @@ mod tests {
     }
 
     #[test]
+    #[expect(clippy::cast_possible_truncation, reason = "draws < 10 fit 10 buckets")]
     fn bounded_draws_are_in_range_and_roughly_uniform() {
         let mut rng = DetRng::seed_from_u64(11);
         let mut counts = [0u32; 10];

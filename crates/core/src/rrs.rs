@@ -68,6 +68,10 @@ impl RrsConfig {
         assert!(t_rh >= DEFAULT_K, "T_RH too small");
         assert!(act_max > 0 && rows_per_bank > 0, "degenerate geometry");
         let t_rrs = t_rh / DEFAULT_K;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "an entry count that does not fit in usize could not be allocated anyway"
+        )]
         let tracker_entries = act_max.div_ceil(t_rrs) as usize;
         RrsConfig {
             t_rh,

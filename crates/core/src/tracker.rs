@@ -85,6 +85,10 @@ pub struct TrackerConfig {
 impl TrackerConfig {
     /// Entries needed to guarantee detection: `N = ceil(W / T)`, which
     /// satisfies the Misra-Gries bound `N > W/T - 1` (§5.2).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "an entry count that does not fit in usize could not be allocated anyway"
+    )]
     pub fn for_window(max_activations: u64, threshold: u64) -> Self {
         assert!(threshold > 0, "threshold must be positive");
         TrackerConfig {
@@ -657,6 +661,10 @@ impl CbfTracker {
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "any bits of the hash pick a counter; it is reduced mod the counter count"
+    )]
     fn estimate(&self, row: u64) -> u64 {
         self.hashers
             .iter()
@@ -673,6 +681,10 @@ impl HotRowTracker for CbfTracker {
     fn record_access(&mut self, row: u64) -> AccessVerdict {
         let m = self.counters.len();
         for h in &self.hashers {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "any bits of the hash pick a counter; it is reduced mod the counter count"
+            )]
             let idx = (h.encrypt(row) as usize) % m;
             if let Some(c) = self.counters.get_mut(idx) {
                 *c = c.saturating_add(1);
@@ -767,6 +779,10 @@ impl HotRowTracker for ProbabilisticTrigger {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test-only reference counts and membership checks; their iteration order never reaches a result"
+)]
 mod tests {
     use super::*;
     use std::collections::HashMap;

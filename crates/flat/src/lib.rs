@@ -2,10 +2,11 @@
 
 //! # rrs-flat — deterministic flat hash tables for the hot path
 //!
-//! The simulator's determinism rule (`rrs-lint`'s `unordered-iter`) bans
-//! `std::collections::HashMap` because its iteration order depends on a
-//! per-process random seed. PR 2 therefore moved all per-row bookkeeping
-//! onto `BTreeMap`, which is deterministic but pays a pointer-chasing
+//! The simulator's determinism rule (clippy's `disallowed_types`, set in
+//! the workspace `clippy.toml`) bans `std::collections::HashMap` because
+//! its iteration order depends on a per-process random seed. Per-row
+//! bookkeeping therefore first moved onto `BTreeMap`, which is
+//! deterministic but pays a pointer-chasing
 //! logarithmic probe on every activation — the dominant cost of the
 //! per-activation pipeline at paper scale (128 K rows × 32 banks).
 //!

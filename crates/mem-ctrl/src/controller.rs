@@ -306,9 +306,12 @@ impl MemoryController {
         self.clock
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`bank_index` is `< geometry.total_banks()` by construction and `banks` has exactly that length"
+    )]
     fn bank_mut(&mut self, addr: RowAddr) -> &mut Bank {
         let idx = addr.bank_index(&self.config.geometry);
-        // lint: allow(index-panic) — `bank_index` is `< geometry.total_banks()` by construction and `banks` has exactly that length
         &mut self.banks[idx]
     }
 

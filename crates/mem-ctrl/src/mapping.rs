@@ -137,6 +137,10 @@ impl AddressMapper {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test-only reference counts and membership checks; their iteration order never reaches a result"
+)]
 mod tests {
     use super::*;
 

@@ -41,7 +41,6 @@ use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 use rrs_core::rng::mix_seed;
 use rrs_forensics::{saved_trace, ExposureConfig, ExposureReport};
@@ -396,9 +395,13 @@ impl CampaignRun {
 }
 
 /// Executes (or cache-loads) one cell according to `opts`.
+#[expect(
+    clippy::disallowed_types,
+    reason = "`seconds` is only printed; it never enters a result file"
+)]
 fn run_cell(cell: &Cell, opts: &RunOptions) -> CellOutcome {
     let id = cell.id();
-    let start = Instant::now();
+    let start = std::time::Instant::now();
     let path = opts.out_dir.as_ref().map(|d| d.join(format!("{id}.json")));
 
     // Cached results carry no trace, so a tracing run always simulates.

@@ -272,6 +272,10 @@ impl TraceSource for IdleFiller {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test-only reference counts and membership checks; their iteration order never reaches a result"
+)]
 mod tests {
     use super::*;
     use rrs_dram::geometry::DramGeometry;

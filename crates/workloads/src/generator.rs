@@ -326,6 +326,10 @@ pub fn sources_for_workload(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_types,
+    reason = "test-only reference counts and membership checks; their iteration order never reaches a result"
+)]
 mod tests {
     use super::*;
     use crate::catalog::{spec_by_name, Workload};
