@@ -799,8 +799,10 @@ fn security_sweep(args: &FigureArgs, out: &mut Output) {
     out.line("== Security-margin sweep: k = T_RH / T_RRS (§5.3.2 ablation) ==\n");
     out.line("k      T_RRS           D        AT_iter      attack time    P(1 year)");
     out.line("-".repeat(70));
-    for row in model.k_sweep(1..=8) {
-        let p_year = model.success_probability_within(row.t, row.duty_cycle, 365.25 * 86_400.0);
+    let year = 365.25 * 86_400.0;
+    let sweep = model.k_sweep(1..=8);
+    for row in &sweep {
+        let p_year = model.success_probability_within(row.t, row.duty_cycle, year);
         out.line(format_args!(
             "{:<6} {:<8} {:>8.3} {:>14} {:>16} {:>12.2e}",
             row.k,
@@ -813,8 +815,19 @@ fn security_sweep(args: &FigureArgs, out: &mut Output) {
     }
     out.line(
         "\nThe paper picks k = 6 (T_RRS = 800): the smallest k protecting for\n\
-         over a year of continuous attack (3.8 years expected).",
+         over a year of continuous attack.",
     );
+    let protecting = sweep.iter().find(|row| row.attack_time_seconds > year);
+    out.line(format_args!(
+        "Smallest k protecting for over a year is k = 6: {} ({})",
+        verdict(protecting.is_some_and(|row| row.k == 6)),
+        protecting.map_or("no k in the sweep".into(), |row| format!(
+            "k = {}, T_RRS = {}, {} expected",
+            row.k,
+            row.t,
+            human_time(row.attack_time_seconds)
+        ))
+    ));
 
     // Success-probability curve for the chosen design point.
     out.line("\n-- P(success within time), T_RRS = 800 --");
@@ -823,7 +836,7 @@ fn security_sweep(args: &FigureArgs, out: &mut Output) {
         ("1 hour", 3_600.0),
         ("1 day", 86_400.0),
         ("1 month", 30.0 * 86_400.0),
-        ("1 year", 365.25 * 86_400.0),
+        ("1 year", year),
         ("3.8 years", 3.8 * 365.25 * 86_400.0),
         ("10 years", 10.0 * 365.25 * 86_400.0),
     ] {
@@ -1094,11 +1107,20 @@ fn detector_study(args: &FigureArgs, out: &mut Output) {
          random picks repeat within a window. A same-row re-hammer attack\n\
          (DoS pattern) alarms within alarm × T_RRS activations:",
     );
-    let r = attack_run(AttackKind::Dos, 1, 3, "dos");
+    let alarm = 3;
+    let r = attack_run(AttackKind::Dos, 1, alarm, "dos");
     out.line(format_args!(
-        "  dos attack, alarm=3: {} full refreshes over {} accesses",
+        "  dos attack, alarm={alarm}: {} full refreshes over {} accesses, {} activations",
         r.stats.full_refreshes,
-        r.stats.reads + r.stats.writes
+        r.stats.reads + r.stats.writes,
+        r.stats.activations
+    ));
+    // Compared exactly: activations ≤ refreshes × alarm × T_RRS.
+    let bound = u64::from(alarm) * rrs.t_rrs;
+    out.line(format_args!(
+        "Alarms within {alarm} × T_RRS = {bound} activations: {} ({:.1} activations per alarm)",
+        verdict(r.stats.activations <= r.stats.full_refreshes * bound),
+        r.stats.activations as f64 / r.stats.full_refreshes.max(1) as f64
     ));
 }
 

@@ -80,6 +80,35 @@ fn every_figure_has_a_golden_and_every_golden_a_figure() {
     }
 }
 
+/// `results/` holds each figure's full-size output, some at other scales
+/// (`fig5_fullscale.txt`, `fig11_scale16.txt`): every `.txt`/`.csv` there
+/// must still belong to a registry figure.
+#[test]
+fn every_results_file_names_a_figure() {
+    let results = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../results");
+    let names: Vec<&str> = FIGURES.iter().map(|f| f.name).collect();
+    for entry in std::fs::read_dir(results).unwrap() {
+        let file = entry.unwrap().file_name().into_string().unwrap();
+        let Some(stem) = file
+            .strip_suffix(".txt")
+            .or_else(|| file.strip_suffix(".csv"))
+        else {
+            continue;
+        };
+        let figure = stem
+            .strip_suffix("_fullscale")
+            .or_else(|| {
+                stem.trim_end_matches(|c: char| c.is_ascii_digit())
+                    .strip_suffix("_scale")
+            })
+            .unwrap_or(stem);
+        assert!(
+            names.contains(&figure),
+            "results/{file} names no registry figure"
+        );
+    }
+}
+
 #[test]
 fn figures_match_goldens() {
     check(|name| !RELEASE_ONLY.contains(&name), "fast");

@@ -93,13 +93,12 @@ pub enum AuditError {
         /// The tag whose memo word is wrong.
         tag: u64,
     },
-    /// A resolve-TLB line caches a value the underlying CATs contradict —
+    /// A resolve-TLB line caches a value the forward CAT contradicts —
     /// an invalidation was missed.
     RitTlbIncoherent {
-        /// The cached key (logical row for the forward direction, physical
-        /// row for the reverse direction).
+        /// The cached logical row.
         key: u64,
-        /// The value the TLB serves.
+        /// The physical row the TLB serves.
         cached: u64,
         /// What the authoritative CAT lookup returns.
         actual: u64,
@@ -215,12 +214,8 @@ impl RitAudit {
         // Resolve-TLB coherence: every cached line must agree with the
         // authoritative (uncached) lookup — a disagreement means a mutation
         // skipped its invalidation.
-        for (direction, key, cached) in rit.tlb_entries() {
-            let actual = if direction == 0 {
-                rit.resolve_uncached(key)
-            } else {
-                rit.occupant_uncached(key)
-            };
+        for (key, cached) in rit.tlb_entries() {
+            let actual = rit.resolve_uncached(key);
             if cached != actual {
                 return Err(AuditError::RitTlbIncoherent {
                     key,

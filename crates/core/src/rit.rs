@@ -27,7 +27,7 @@ use rrs_telemetry::{Counter, Telemetry};
 
 use crate::cat::{holds_tag, Cat, CatConfig, SetIndexMemo, SlotIndex};
 
-/// Entries per resolve-TLB direction (direct-mapped, power of two).
+/// Entries in the resolve-TLB (direct-mapped, power of two).
 const TLB_ENTRIES: usize = 1024;
 
 /// Index mask for the direct-mapped TLB.
@@ -38,10 +38,11 @@ const TLB_MASK: u64 = TLB_ENTRIES as u64 - 1;
 /// never cached, so the sentinel cannot alias a real row.
 const TLB_EMPTY: u64 = u64::MAX;
 
-/// One direction of the resolve-TLB: a direct-mapped array of
-/// `(key, value)` pairs with interior mutability, so lookups through
-/// `&self` can fill it. Purely a cache — the CATs stay authoritative, and
-/// every mutation invalidates the affected lines precisely.
+/// The resolve-TLB in front of the forward CAT: a direct-mapped array of
+/// `(logical, physical)` pairs with interior mutability, so lookups
+/// through `&self` can fill it. Purely a cache — the CATs stay
+/// authoritative, and every mutation invalidates the affected lines
+/// precisely.
 #[derive(Debug, Clone)]
 struct ResolveTlb {
     lines: Vec<Cell<(u64, u64)>>,
@@ -91,7 +92,7 @@ impl ResolveTlb {
         }
     }
 
-    /// The occupied `(key, value)` pairs, for the coherence audit.
+    /// The occupied `(logical, physical)` pairs, for the coherence audit.
     fn entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
         self.lines
             .iter()
@@ -163,9 +164,7 @@ pub struct RowIndirectionTable {
     reverse: Cat<u64>,
     tuple_capacity: usize,
     /// Direct-mapped cache in front of [`RowIndirectionTable::resolve`].
-    tlb_fwd: ResolveTlb,
-    /// Direct-mapped cache in front of [`RowIndirectionTable::occupant`].
-    tlb_rev: ResolveTlb,
+    tlb: ResolveTlb,
     /// Mutation counter driving the sampled debug-build ghost audit.
     #[cfg(debug_assertions)]
     audit_tick: u64,
@@ -181,18 +180,15 @@ impl RowIndirectionTable {
         let fwd_cfg = CatConfig::for_capacity(tuple_capacity.max(1), 14, 6).with_seed(hash_seed);
         let rev_cfg = CatConfig::for_capacity(tuple_capacity.max(1), 14, 6)
             .with_seed(hash_seed ^ 0x0052_4556_4552_5345_u128); // "REVERSE" tag
-                                                                // Counters start on a null spine (zero overhead); a controller that
-                                                                // wants them on its registry calls `attach_telemetry`.
+
+        // Counters start on a null spine (zero overhead); a controller that
+        // wants them on its registry calls `attach_telemetry`.
         let telemetry = Telemetry::new();
         RowIndirectionTable {
             forward: memoized_cat(fwd_cfg, rows),
             reverse: memoized_cat(rev_cfg, rows),
             tuple_capacity,
-            tlb_fwd: ResolveTlb::new(
-                telemetry.counter("rit.tlb.hits"),
-                telemetry.counter("rit.tlb.misses"),
-            ),
-            tlb_rev: ResolveTlb::new(
+            tlb: ResolveTlb::new(
                 telemetry.counter("rit.tlb.hits"),
                 telemetry.counter("rit.tlb.misses"),
             ),
@@ -201,16 +197,13 @@ impl RowIndirectionTable {
         }
     }
 
-    /// Adopts a shared telemetry spine: the `rit.tlb.*` hit/miss counters
-    /// are re-registered there (idempotent by name, so every bank's RIT
-    /// shares the same aggregate counters).
+    /// Adopts a shared telemetry spine: the `rit.tlb.*` hit/miss counters,
+    /// one event per [`RowIndirectionTable::resolve`], are re-registered
+    /// there (idempotent by name, so every bank's RIT shares the same
+    /// aggregate counters).
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
-        let hits = telemetry.counter("rit.tlb.hits");
-        let misses = telemetry.counter("rit.tlb.misses");
-        self.tlb_fwd.hits = hits.clone();
-        self.tlb_fwd.misses = misses.clone();
-        self.tlb_rev.hits = hits;
-        self.tlb_rev.misses = misses;
+        self.tlb.hits = telemetry.counter("rit.tlb.hits");
+        self.tlb.misses = telemetry.counter("rit.tlb.misses");
     }
 
     /// The forward (logical → physical) CAT, for the ghost-state audit.
@@ -241,21 +234,17 @@ impl RowIndirectionTable {
         }
     }
 
-    /// The occupied resolve-TLB lines as `(direction, key, value)`, for the
-    /// ghost-state audit's coherence check (`direction` 0 = forward/resolve,
-    /// 1 = reverse/occupant).
-    pub(crate) fn tlb_entries(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
-        self.tlb_fwd
-            .entries()
-            .map(|(k, v)| (0, k, v))
-            .chain(self.tlb_rev.entries().map(|(k, v)| (1, k, v)))
+    /// The occupied resolve-TLB lines as `(logical, physical)`, for the
+    /// ghost-state audit's coherence check.
+    pub(crate) fn tlb_entries(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.tlb.entries()
     }
 
-    /// Test-only corruption: force-fills a forward resolve-TLB line with a
-    /// value the CATs contradict, so the TLB-coherence audit must flag it.
+    /// Test-only corruption: force-fills a resolve-TLB line with a value
+    /// the CATs contradict, so the TLB-coherence audit must flag it.
     #[doc(hidden)]
     pub fn corrupt_tlb_for_test(&mut self, logical: u64, physical: u64) {
-        self.tlb_fwd.fill(logical, physical);
+        self.tlb.fill(logical, physical);
     }
 
     /// Test-only corruption: installs a forward entry with no reverse
@@ -297,41 +286,27 @@ impl RowIndirectionTable {
     /// Served from the resolve-TLB when possible; misses consult the
     /// forward CAT and fill the cache.
     pub fn resolve(&self, logical: u64) -> u64 {
-        if let Some(physical) = self.tlb_fwd.lookup(logical) {
+        if let Some(physical) = self.tlb.lookup(logical) {
             return physical;
         }
         let physical = self.resolve_uncached(logical);
-        self.tlb_fwd.fill(logical, physical);
+        self.tlb.fill(logical, physical);
         physical
     }
 
-    /// `resolve` straight off the forward CAT, bypassing the TLB. The
-    /// differential tests and the ghost audit compare the cached path
-    /// against this.
-    #[doc(hidden)]
-    pub fn resolve_uncached(&self, logical: u64) -> u64 {
+    /// `resolve` straight off the forward CAT, bypassing the TLB: what the
+    /// ghost audit checks the cached lines against.
+    pub(crate) fn resolve_uncached(&self, logical: u64) -> u64 {
         self.forward
             .get(logical)
             .map(|e| e.physical)
             .unwrap_or(logical)
     }
 
-    /// Logical row currently residing at physical location `physical`.
-    ///
-    /// Served from the resolve-TLB when possible; misses consult the
-    /// reverse CAT and fill the cache.
+    /// Logical row currently residing at physical location `physical`,
+    /// read off the reverse CAT. Only un-swaps ask (§4.3 lazy drain), so
+    /// it has no cache of its own.
     pub fn occupant(&self, physical: u64) -> u64 {
-        if let Some(logical) = self.tlb_rev.lookup(physical) {
-            return logical;
-        }
-        let logical = self.occupant_uncached(physical);
-        self.tlb_rev.fill(physical, logical);
-        logical
-    }
-
-    /// `occupant` straight off the reverse CAT, bypassing the TLB.
-    #[doc(hidden)]
-    pub fn occupant_uncached(&self, physical: u64) -> u64 {
         self.reverse.get(physical).copied().unwrap_or(physical)
     }
 
@@ -350,10 +325,9 @@ impl RowIndirectionTable {
     /// Removes the forward/reverse pair of `logical`, whose forward entry
     /// (if any) sits at `at`, a location found before any insert since.
     fn clear_mapping(&mut self, logical: u64, at: Option<SlotIndex>) {
-        self.tlb_fwd.invalidate(logical);
+        self.tlb.invalidate(logical);
         if let Some(old) = at.and_then(|at| self.forward.remove_at(at)) {
             self.reverse.remove(old.physical);
-            self.tlb_rev.invalidate(old.physical);
         }
     }
 
@@ -364,8 +338,7 @@ impl RowIndirectionTable {
         if logical == physical {
             return Ok(()); // back home: identity mappings are not stored
         }
-        self.tlb_fwd.invalidate(logical);
-        self.tlb_rev.invalidate(physical);
+        self.tlb.invalidate(logical);
         self.forward
             .insert(logical, ForwardEntry { physical, locked })
             .map_err(|_| RitError::TableConflict)?;
@@ -476,7 +449,7 @@ impl RowIndirectionTable {
             return Err(RitError::DegenerateSwap(logical));
         };
         // z currently occupies `logical`'s home slot.
-        let z = self.occupant_uncached(logical);
+        let z = self.occupant(logical);
         self.unswap_located(logical, at, z, self.forward.locate(z))
     }
 

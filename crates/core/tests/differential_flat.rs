@@ -75,9 +75,10 @@ fn flat_map_matches_btreemap() {
 }
 
 /// The resolve-TLB is a pure cache: after any sequence of swaps, unswaps,
-/// evictions, and epoch ends, the cached `resolve`/`occupant` answers match
-/// the uncached CAT walks for every probed row, and the hit/miss counters
-/// account for exactly one event per cached call.
+/// evictions, and epoch ends, the cached `resolve` answers match the
+/// mappings the public `iter()` lists for every probed row, and the
+/// hit/miss counters account for exactly one event per `resolve` call and
+/// none per `occupant` call.
 #[test]
 fn rit_tlb_matches_uncached_resolution() {
     check(|g| {
@@ -101,19 +102,20 @@ fn rit_tlb_matches_uncached_resolution() {
                 }
                 _ => rit.end_epoch(),
             }
-            // Cached and uncached paths must agree on hits *and* misses;
+            // The cache must agree with the table on hits *and* misses;
             // probing a row twice exercises both on the same line.
+            let mapped: BTreeMap<u64, u64> = rit.iter().collect();
             for _ in 0..2 {
                 let probe = g.below(rows + 4);
-                assert_eq!(rit.resolve(probe), rit.resolve_uncached(probe));
-                assert_eq!(rit.occupant(probe), rit.occupant_uncached(probe));
+                let expected = mapped.get(&probe).copied().unwrap_or(probe);
+                assert_eq!(rit.resolve(probe), expected, "resolve({probe})");
             }
         }
         RitAudit::verify(&rit).unwrap();
 
-        // Counter identity: every cached call lands in exactly one of
-        // hits/misses (mutations above also consult the cached path, so
-        // measure a clean window of known size).
+        // Counter identity: every `resolve` lands in exactly one of
+        // hits/misses and `occupant` in neither (measured over a clean
+        // window of known size).
         let hits = telemetry.counter("rit.tlb.hits");
         let misses = telemetry.counter("rit.tlb.misses");
         let before = hits.get() + misses.get();
@@ -122,7 +124,7 @@ fn rit_tlb_matches_uncached_resolution() {
             rit.resolve(q % rows);
             rit.occupant((q * 7) % rows);
         }
-        assert_eq!(hits.get() + misses.get() - before, 2 * queries);
+        assert_eq!(hits.get() + misses.get() - before, queries);
     });
 }
 
