@@ -4,9 +4,11 @@
 //! assume a `SimResult`'s pretty-printed JSON is a stable byte sequence
 //! for a given configuration and seed. These tests execute one
 //! representative *figure* cell (a benign Table-3 workload under RRS, the
-//! Fig. 5 grid shape) and one *table* cell (a double-sided attack under
-//! RRS, the Table 7 grid shape) at smoke scale and compare the serialized
-//! result byte-for-byte with the goldens committed under `tests/golden/`.
+//! Fig. 5 grid shape), one *table* cell (a double-sided attack under RRS,
+//! the Table 7 grid shape) and one Graphene cell (Half-Double against the
+//! bounded-tracker victim refresh) at smoke scale and compare the
+//! serialized result byte-for-byte with the goldens committed under
+//! `tests/golden/`.
 //!
 //! Any refactor that changes metric accounting, JSON field order, or
 //! number formatting fails here before it can silently invalidate a
@@ -85,6 +87,19 @@ fn table_cell() -> Cell {
     }
 }
 
+/// Half-Double under Graphene, 2 epochs: the victim refreshes the
+/// Misra-Gries tracker triggers are what hammer the distance-2 victim.
+fn graphene_cell() -> Cell {
+    Cell {
+        config: ExperimentConfig::smoke_test(),
+        action: CellAction::Attack {
+            kind: AttackKind::HalfDouble,
+            epochs: 2,
+        },
+        mitigation: MitigationKind::Graphene,
+    }
+}
+
 #[test]
 fn figure_cell_matches_golden() {
     check("fig5 cell", figure_cell());
@@ -93,6 +108,11 @@ fn figure_cell_matches_golden() {
 #[test]
 fn table_cell_matches_golden() {
     check("table7 cell", table_cell());
+}
+
+#[test]
+fn graphene_cell_matches_golden() {
+    check("graphene cell", graphene_cell());
 }
 
 /// Table 6 prices the commands `ControllerStats::command_counts` derives
