@@ -49,8 +49,9 @@ impl Bencher {
         self.elapsed = start.elapsed();
     }
 
-    /// Times `routine` only, re-running `setup` outside the clock for each
-    /// iteration (the `iter_batched` pattern for non-reusable state).
+    /// Times `routine` only, re-running `setup` for each iteration and
+    /// dropping the routine's output outside the clock (the `iter_batched`
+    /// pattern for non-reusable state).
     pub fn iter_batched<S, T>(
         &mut self,
         mut setup: impl FnMut() -> S,
@@ -60,8 +61,9 @@ impl Bencher {
         for _ in 0..self.iters {
             let input = setup();
             let start = Instant::now();
-            black_box(routine(input));
+            let output = black_box(routine(input));
             total += start.elapsed();
+            drop(output);
         }
         self.elapsed = total;
     }

@@ -232,9 +232,13 @@ fn bench_structures(h: &mut Harness) {
             bank.on_activation(row, sink)
         })
     });
+    // Each batch hammers a copy of one pre-built bank: cloning in the
+    // untimed set-up touches the copy's pages there, so the timed body
+    // does not pay first-touch faults that depend on what ran before.
+    let fresh = BankRrs::new(cfg, 0);
     h.bench("bank_rrs/hammer_with_swaps", |b| {
         b.iter_batched(
-            || BankRrs::new(cfg, 0),
+            || fresh.clone(),
             |mut bank| {
                 for _ in 0..1_600 {
                     bank.on_activation(7, sink);

@@ -12,7 +12,11 @@
 //!
 //! * [`CamTracker`] — the straightforward content-addressable-memory
 //!   formulation used by Graphene; exact but unscalable in hardware beyond a
-//!   few dozen entries (§6). It serves as the reference model.
+//!   few dozen entries (§6). It serves as the reference model, and it is
+//!   the trigger of two production defenses in `rrs-mitigations`: Graphene
+//!   (bounded to the Misra-Gries entry budget) and the idealized
+//!   victim-focused refresh of Table 7 (one entry per row of the bank, so
+//!   it never fills and its counts are exact).
 //! * [`CatTracker`] — the paper's scalable design (§6.4): entries live in a
 //!   [`Cat`], and per-set *SetMin* counters avoid the fully-associative
 //!   minimum search that the Misra-Gries replacement rule needs.
@@ -104,7 +108,10 @@ impl TrackerConfig {
     }
 }
 
-/// Reference Misra-Gries tracker over a content-addressable table.
+/// Misra-Gries tracker over a content-addressable table: the reference
+/// model of [`CatTracker`], and the trigger of Graphene and the idealized
+/// victim-focused refresh. With `entries` at least the number of distinct
+/// rows a window sees, the table never fills and its counts are exact.
 ///
 /// Counts live in a deterministic [`FlatMap`]; the replacement rule picks
 /// the minimum of the total order `(count, row)`, which is independent of
@@ -727,7 +734,8 @@ impl HotRowTracker for CbfTracker {
 /// RRS, similar to PARA, where the row-swap is triggered with probability
 /// p on each row activation". It tracks nothing, so a `BankRrs` driven by
 /// it excludes only RIT rows when it picks a destination, and its swaps
-/// scale with total traffic rather than with the number of hot rows.
+/// scale with total traffic rather than with the number of hot rows. The
+/// same coin driving a neighbour refresh instead of a swap is PARA.
 #[derive(Debug, Clone)]
 pub struct ProbabilisticTrigger {
     p: f64,
@@ -1111,5 +1119,11 @@ mod tests {
             t.record_access(0);
         }
         assert_eq!(t.global_min(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "probability out of range")]
+    fn probabilistic_trigger_rejects_zero_probability() {
+        ProbabilisticTrigger::new(0.0, 0);
     }
 }

@@ -139,15 +139,11 @@ pub const RH_THRESHOLDS: &[RhThresholdEntry] = &[
 pub struct HammerConfig {
     /// Row Hammer threshold: disturbance at which a row flips.
     pub t_rh: u64,
-    /// Maximum distance at which activations disturb neighbours.
-    pub blast_radius: u32,
     /// `distance_weights[d-1]` is the disturbance added to a row at distance
-    /// `d` per aggressor activation. `distance_weights[0]` must be 1.0.
+    /// `d` per aggressor activation. `distance_weights[0]` must be 1.0; the
+    /// list's length is the blast radius, the maximum distance at which
+    /// activations disturb neighbours.
     pub distance_weights: Vec<f64>,
-    /// Whether a targeted (mitigation-issued) refresh of a row disturbs that
-    /// row's own neighbours. True on real hardware; this is what enables
-    /// Half-Double.
-    pub targeted_refresh_disturbs: bool,
 }
 
 impl HammerConfig {
@@ -170,9 +166,7 @@ impl HammerConfig {
         let w2 = DEFAULT_T_RH as f64 / HALF_DOUBLE_ACTS as f64;
         HammerConfig {
             t_rh,
-            blast_radius: 2,
             distance_weights: vec![1.0, w2],
-            targeted_refresh_disturbs: true,
         }
     }
 
@@ -181,9 +175,7 @@ impl HammerConfig {
     pub fn classic_only(t_rh: u64) -> Self {
         HammerConfig {
             t_rh,
-            blast_radius: 1,
             distance_weights: vec![1.0],
-            targeted_refresh_disturbs: true,
         }
     }
 
@@ -286,8 +278,10 @@ impl HammerModel {
     }
 
     /// Records a targeted (mitigation-issued) refresh of `addr`: restores
-    /// the row's own charge, and — if configured — disturbs its neighbours
-    /// exactly like an activation (the Half-Double enabler).
+    /// the row's own charge and disturbs its neighbours exactly like an
+    /// activation, since refreshing a row activates it. That is what lets
+    /// Half-Double flip distance-2 rows through victim refresh (§2.5).
+    /// Unlike an activation, it adds nothing to the row's window count.
     pub fn record_targeted_refresh(&mut self, addr: RowAddr) {
         self.settle();
         self.apply(addr, false);
@@ -334,7 +328,7 @@ impl HammerModel {
         if self.pending.is_empty() {
             return;
         }
-        let reach = self.config.blast_radius as usize;
+        let reach = self.config.distance_weights.len();
         for addr in &self.pending {
             let row = addr.row.0 as usize;
             let Some(slot) = self
@@ -363,8 +357,9 @@ impl HammerModel {
     }
 
     /// Applies one activation (`activate`) or targeted refresh of `addr`:
-    /// restores the row's own charge, counts an activation, and disturbs
-    /// the neighbours (a refresh only if `targeted_refresh_disturbs`).
+    /// restores the row's own charge, counts an activation if `activate`,
+    /// and disturbs the neighbours either way (a refresh activates the row:
+    /// §2.5).
     /// Neighbours on the row's own page skip the page lookup and the
     /// dirty check.
     fn apply(&mut self, addr: RowAddr, activate: bool) {
@@ -380,17 +375,6 @@ impl HammerModel {
         let Some((home, above)) = rest.split_first_mut() else {
             return;
         };
-        if !activate && !self.config.targeted_refresh_disturbs {
-            // Restoring charge adds no window state: no page to allocate.
-            if let Some(d) = home
-                .page
-                .as_deref_mut()
-                .and_then(|pg| pg.disturbance.get_mut(i))
-            {
-                *d = 0.0;
-            }
-            return;
-        }
         let home = home.touch(p, dirty);
         if let Some(d) = home.disturbance.get_mut(i) {
             *d = 0.0;
@@ -402,9 +386,8 @@ impl HammerModel {
         }
         let (t_rh, rows) = (self.config.t_rh as f64, self.geometry.rows_per_bank);
         // Below before above, distance 1 before 2: the order of every f64
-        // addition and flip. Weights past the configured list disturb
-        // nothing.
-        for (d, &w) in (1..=self.config.blast_radius as usize).zip(&self.config.distance_weights) {
+        // addition and flip.
+        for (d, &w) in (1..).zip(&self.config.distance_weights) {
             for neighbour in [row.checked_sub(d), Some(row + d).filter(|&n| n < rows)] {
                 let Some(n) = neighbour else { continue };
                 let q = n / PAGE_ROWS;

@@ -31,9 +31,7 @@ impl ReferenceModel {
 
     fn record_targeted_refresh(&mut self, addr: RowAddr) {
         self.disturbance.remove(&addr);
-        if self.config.targeted_refresh_disturbs {
-            self.disturb_neighbors(addr);
-        }
+        self.disturb_neighbors(addr);
     }
 
     fn end_epoch(&mut self) {
@@ -44,10 +42,7 @@ impl ReferenceModel {
     }
 
     fn disturb_neighbors(&mut self, addr: RowAddr) {
-        for d in 1..=self.config.blast_radius {
-            let Some(w) = self.config.distance_weights.get(d as usize - 1).copied() else {
-                continue;
-            };
+        for (d, &w) in (1..).zip(&self.config.distance_weights) {
             for n in addr.neighbors(d, &self.geometry) {
                 let e = self.disturbance.entry(n).or_insert(0.0);
                 *e += w;

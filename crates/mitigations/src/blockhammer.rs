@@ -101,10 +101,6 @@ pub struct BlockHammer {
     hashers: Vec<Prince>,
     banks: Vec<BankFilters>,
     name: String,
-    /// Total delay cycles imposed (DoS accounting).
-    delay_cycles: Cycle,
-    /// Activations that were throttled.
-    throttled: u64,
 }
 
 impl BlockHammer {
@@ -122,24 +118,12 @@ impl BlockHammer {
             geometry,
             hashers,
             banks,
-            delay_cycles: 0,
-            throttled: 0,
         }
     }
 
     /// The defense's configuration.
     pub fn config(&self) -> BlockHammerConfig {
         self.config
-    }
-
-    /// Total stall cycles imposed so far.
-    pub fn delay_cycles(&self) -> Cycle {
-        self.delay_cycles
-    }
-
-    /// Activations that hit the throttle.
-    pub fn throttled(&self) -> u64 {
-        self.throttled
     }
 
     fn buckets(&self, row: RowAddr) -> Vec<usize> {
@@ -178,12 +162,7 @@ impl Mitigation for BlockHammer {
             .get(u64::from(row.row.0))
             .map(|&t| t + t_delay)
             .unwrap_or(0);
-        let delay = earliest.saturating_sub(now);
-        if delay > 0 {
-            self.delay_cycles += delay;
-            self.throttled += 1;
-        }
-        delay
+        earliest.saturating_sub(now)
     }
 
     fn on_activation(&mut self, row: RowAddr, at: Cycle, _actions: &mut Vec<MitigationAction>) {
@@ -253,28 +232,30 @@ mod tests {
             assert_eq!(m.activation_delay(row, t * 144), 0);
             m.on_activation(row, t * 144, &mut actions);
         }
-        assert_eq!(m.throttled(), 0);
     }
 
     #[test]
     fn blacklisted_row_is_throttled_hard() {
         let mut m = bh(512);
         let row = RowAddr::new(0, 0, 0, 100);
+        let t_delay = m.config().t_delay();
         let mut actions = Vec::new();
-        let mut now = 0;
+        let (mut now, mut delays) = (0, Vec::new());
         for _ in 0..600 {
             now += 144; // tRC pace
-            now += m.activation_delay(row, now);
+            let d = m.activation_delay(row, now);
+            delays.push(d);
+            now += d;
             m.on_activation(row, now, &mut actions);
         }
-        assert!(m.throttled() > 0);
-        // Once blacklisted, spacing is t_delay ≈ 48 K cycles, not 144.
-        let mut prev = now;
-        now += 144;
-        let d = m.activation_delay(row, now);
+        // No delay before the blacklist threshold; once blacklisted, each
+        // activation waits out the rest of t_delay (≈ 48 K cycles, not 144)
+        // since the previous one.
+        let throttled = delays.iter().position(|&d| d > 0).expect("throttled");
+        assert!(throttled >= 512, "throttled from activation {throttled}");
+        assert!(delays[throttled..].iter().all(|&d| d == t_delay - 144));
+        let d = m.activation_delay(row, now + 144);
         assert!(d > 10_000, "delay = {d}");
-        prev = prev.max(now + d);
-        let _ = prev;
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! | [`rrs`] | Randomized Row-Swap | the contribution (§4) |
 //! | [`rrs`] (`RrsMitigation::probabilistic`) | Probabilistic row-swap | footnote-1 ablation |
 //! | [`blockhammer`] | BlockHammer (BL=512/1K) | aggressor-focused baseline (§8.1, Fig. 11) |
-//! | [`victim_refresh`] | Idealized victim-focused refresh | Table 7 baseline; Half-Double victim (§2.5) |
-//! | [`graphene`] | Graphene (real Misra-Gries + victim refresh) | the tracker RRS builds on, as originally deployed |
-//! | [`para`] | PARA | stateless victim-focused baseline (§2.4) |
+//! | [`victim_refresh`] (`VictimRefresh::ideal`) | Idealized victim-focused refresh | Table 7 baseline; Half-Double victim (§2.5) |
+//! | [`victim_refresh`] (`VictimRefresh::graphene`) | Graphene (bounded Misra-Gries + victim refresh) | the tracker RRS builds on, as originally deployed |
+//! | [`victim_refresh`] (`VictimRefresh::para`) | PARA | stateless victim-focused baseline (§2.4) |
 //! | [`rrs_mem_ctrl::NoMitigation`] | nothing | undefended baseline |
 //!
 //! # Example
@@ -32,16 +32,12 @@
 //! ```
 
 pub mod blockhammer;
-pub mod graphene;
-pub mod para;
 pub mod rrs;
 pub mod victim_refresh;
 
 pub use blockhammer::{BlockHammer, BlockHammerConfig};
-pub use graphene::{Graphene, GrapheneConfig};
-pub use para::Para;
 pub use rrs::RrsMitigation;
-pub use victim_refresh::{VictimRefresh, VictimRefreshConfig};
+pub use victim_refresh::VictimRefresh;
 
 /// Convenience constructors for experiment harnesses.
 pub mod factory {
@@ -115,42 +111,24 @@ pub mod factory {
         let rrs =
             || rrs_core::RrsConfig::for_threshold(t_rh, act_max, geometry.rows_per_bank as u64);
         let seed = 0xBEEF_CAFE;
+        // Blacklist thresholds scale with T_RH (512 and 1024 at the paper's
+        // 4.8K point), clamped into the safe range.
+        let blockhammer = |at_4k8: u64| {
+            let config = BlockHammerConfig {
+                t_rh,
+                blacklist_threshold: (at_4k8 * t_rh / 4_800).clamp(1, (t_rh / 4).max(1)),
+                ..BlockHammerConfig::asplos22(at_4k8, timing.epoch)
+            };
+            Box::new(BlockHammer::new(config, geometry, seed))
+        };
         match kind {
             MitigationKind::None => Box::new(NoMitigation::new()),
             MitigationKind::Rrs => Box::new(RrsMitigation::new(rrs(), geometry)),
-            // Blacklist thresholds scale with T_RH (512 and 1024 at the
-            // paper's 4.8K point), clamped into the safe range.
-            MitigationKind::BlockHammer512 => Box::new(BlockHammer::new(
-                BlockHammerConfig {
-                    t_rh,
-                    blacklist_threshold: (512 * t_rh / 4_800).clamp(1, (t_rh / 4).max(1)),
-                    counters_per_bank: 32_768,
-                    hashes: 3,
-                    window: timing.epoch,
-                },
-                geometry,
-                seed,
-            )),
-            MitigationKind::BlockHammer1k => Box::new(BlockHammer::new(
-                BlockHammerConfig {
-                    t_rh,
-                    blacklist_threshold: (1_024 * t_rh / 4_800).clamp(1, (t_rh / 4).max(1)),
-                    counters_per_bank: 32_768,
-                    hashes: 3,
-                    window: timing.epoch,
-                },
-                geometry,
-                seed,
-            )),
-            MitigationKind::VictimRefresh => Box::new(VictimRefresh::new(
-                VictimRefreshConfig::for_threshold(t_rh),
-                geometry,
-            )),
-            MitigationKind::Graphene => Box::new(Graphene::new(
-                GrapheneConfig::for_threshold(t_rh, act_max),
-                geometry,
-            )),
-            MitigationKind::Para => Box::new(Para::for_threshold(t_rh, geometry, seed)),
+            MitigationKind::BlockHammer512 => blockhammer(512),
+            MitigationKind::BlockHammer1k => blockhammer(1_024),
+            MitigationKind::VictimRefresh => Box::new(VictimRefresh::ideal(t_rh, geometry)),
+            MitigationKind::Graphene => Box::new(VictimRefresh::graphene(t_rh, act_max, geometry)),
+            MitigationKind::Para => Box::new(VictimRefresh::para(t_rh, geometry, seed)),
             MitigationKind::ProbabilisticRrs => {
                 Box::new(RrsMitigation::probabilistic(rrs(), geometry))
             }
