@@ -478,15 +478,15 @@ mod tests {
         assert_unique(&h);
         assert!(h.records().iter().all(|r| r.ns_per_iter > 0.0));
         // A rename must not silently un-gate a baseline entry.
-        let baseline = rrs_json::Json::parse(include_str!("../../../BENCH_PR27.json")).unwrap();
+        let baseline = rrs_json::Json::parse(include_str!("../../../BENCH_PR29.json")).unwrap();
         let Some(rrs_json::Json::Obj(gated)) = baseline.get("benches") else {
-            panic!("BENCH_PR27.json has no benches object");
+            panic!("BENCH_PR29.json has no benches object");
         };
         let run = names(&h);
         for (name, _) in gated {
             assert!(
                 run.contains(&name.as_str()),
-                "{name} is gated by BENCH_PR27.json but the smoke tier does not run it"
+                "{name} is gated by BENCH_PR29.json but the smoke tier does not run it"
             );
         }
     }

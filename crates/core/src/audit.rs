@@ -243,7 +243,7 @@ impl CatAudit {
         let mut seen_tags = std::collections::BTreeSet::new();
         for table in 0..2 {
             for set in 0..sets {
-                for (tag, _) in cat.set_iter(table, set) {
+                for (_, tag, _) in cat.set_iter(table, set) {
                     occupied += 1;
                     if !seen_tags.insert(tag) {
                         return Err(AuditError::CatDuplicateTag { tag });

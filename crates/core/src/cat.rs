@@ -637,19 +637,10 @@ impl<V: Copy + Default> Cat<V> {
         self.remove_at(at).map(|value| (at, value))
     }
 
-    /// Removes `tag` from set `set` of table `table`, returning its value;
-    /// `None` if it is not resident there. Clients that found the entry by
-    /// walking that set (the tracker's eviction) skip the lookup of its
-    /// candidate sets.
-    pub fn remove_in_set(&mut self, table: usize, set: usize, tag: u64) -> Option<V> {
-        let key = slot_tag(tag)?;
-        let way = self.set_tags(table, set).iter().position(|&k| k == key)?;
-        self.take(table, set, way)
-    }
-
-    /// Empties slot `at` (as returned by [`Cat::locate`]), returning the
-    /// value it held; `None` if the slot is empty. Entries never move on
-    /// a remove, so a location stays valid until the next insert.
+    /// Empties slot `at` (as returned by [`Cat::locate`] or
+    /// [`Cat::set_iter`]), returning the value it held; `None` if the slot
+    /// is empty. Entries never move on a remove, so a location stays valid
+    /// until the next insert.
     pub(crate) fn remove_at(&mut self, at: SlotIndex) -> Option<V> {
         let (t, set, way) = at;
         if way >= self.config.ways() {
@@ -716,14 +707,19 @@ impl<V: Copy + Default> Cat<V> {
             .filter_map(resident)
     }
 
-    /// Iterates over the entries of one set of one table.
-    pub fn set_iter(&self, table: usize, set: usize) -> impl Iterator<Item = (u64, &V)> + '_ {
+    /// Iterates over the entries of one set of one table as
+    /// `(way, tag, &value)`, in way order.
+    pub fn set_iter(
+        &self,
+        table: usize,
+        set: usize,
+    ) -> impl Iterator<Item = (usize, u64, &V)> + '_ {
         let range = self.slot_range(set);
         let values = self.values.get(table).and_then(|v| v.get(range));
-        self.set_tags(table, set)
-            .iter()
-            .zip(values.unwrap_or(&[]))
-            .filter_map(resident)
+        let slots = self.set_tags(table, set).iter().zip(values.unwrap_or(&[]));
+        slots
+            .enumerate()
+            .filter_map(|(way, slot)| resident(slot).map(|(tag, value)| (way, tag, value)))
     }
 
     /// Test-only corruption: inflates the cached length without touching

@@ -218,8 +218,8 @@ const fn build_round_fwd() -> [[u64; 256]; 8] {
 const T_FWD: [[u64; 256]; 8] = build_round_fwd();
 
 /// Fused backward-round linear tables: `T_BWD[b][v]` is
-/// `M'(SR⁻¹(v at byte b))`. A backward round is eight lookups followed by
-/// one byte-table inverse S-box pass.
+/// `M'(SR⁻¹(v at byte b))`. A backward round's inverse S-box is byte-local,
+/// so [`backward_round`] applies it inside the next round's lookups.
 const fn build_round_bwd() -> [[u64; 256]; 8] {
     let mut t = [[0u64; 256]; 8];
     let mut b = 0;
@@ -264,6 +264,20 @@ fn fused_round(state: u64, tables: &[[u64; 256]; 8]) -> u64 {
         // A u8 index into a 256-entry table is always in bounds, so the
         // `.get` never misses and the fallback is unreachable.
         out ^= table.get(usize::from(byte)).copied().unwrap_or(0);
+    }
+    out
+}
+
+/// One backward round on the state `y` before its inverse S-box:
+/// `T_BWD(S⁻¹(y) ^ rk)`. `S⁻¹` and the key are byte-local, so each byte is
+/// substituted and keyed inside its own lookup (`T_BWD[b][S⁻¹(y_b) ^ k_b]`),
+/// and no serial byte reassembly runs between rounds.
+#[inline]
+#[expect(clippy::indexing_slicing, reason = "u8 indices into 256-entry tables")]
+fn backward_round(y: u64, rk: u64) -> u64 {
+    let mut out = 0u64;
+    for ((table, byte), k) in T_BWD.iter().zip(y.to_be_bytes()).zip(rk.to_be_bytes()) {
+        out ^= table[usize::from(SBOX_INV_BYTES[usize::from(byte)] ^ k)];
     }
     out
 }
@@ -328,6 +342,12 @@ impl Prince {
     /// side lets their table lookups overlap, the software counterpart of
     /// the pipelined hardware cipher (§4.4): the CTR keystream encrypts
     /// eight counters at once and a CAT hashes one tag under both keys.
+    ///
+    /// Round schedule: five fused forward rounds, the middle layer, five
+    /// backward rounds and the output whitening. From the middle layer on,
+    /// the state is kept before its inverse S-box, which each backward
+    /// round applies inside its lookups, so the serial `S⁻¹` byte pass runs
+    /// once per block, before the whitening.
     #[inline]
     pub fn encrypt_lanes<const N: usize>(lanes: [(&Prince, u64); N]) -> [u64; N] {
         let mut s = lanes.map(|(c, block)| block ^ c.k0 ^ c.rks[0]);
@@ -337,18 +357,15 @@ impl Prince {
             }
         }
         for x in &mut s {
-            *x = apply_sbox_bytes(fused_round(*x, &T_MID), &SBOX_INV_BYTES);
+            *x = fused_round(*x, &T_MID);
         }
         for round in 6..11 {
             for (x, (c, _)) in s.iter_mut().zip(&lanes) {
-                *x = apply_sbox_bytes(
-                    fused_round(*x ^ c.round_key(round), &T_BWD),
-                    &SBOX_INV_BYTES,
-                );
+                *x = backward_round(*x, c.round_key(round));
             }
         }
         for (x, (c, _)) in s.iter_mut().zip(&lanes) {
-            *x ^= c.rks[11] ^ c.k0_prime;
+            *x = apply_sbox_bytes(*x, &SBOX_INV_BYTES) ^ c.rks[11] ^ c.k0_prime;
         }
         s
     }
@@ -433,16 +450,17 @@ mod tests {
         }
     }
 
-    /// The sequential round loop `encrypt` ran before it became the
-    /// one-lane case of `encrypt_lanes`.
+    /// The cipher round by round from the unfused reference layers: each
+    /// forward round is S, `M'`, SR and the round key; the middle layer is
+    /// S, `M'`, S⁻¹; each backward round is the round key, SR⁻¹, `M'`, S⁻¹.
     fn reference_encrypt(c: &Prince, plaintext: u64) -> u64 {
         let mut s = plaintext ^ c.k0 ^ c.rks[0];
         for rk in &c.rks[1..6] {
-            s = fused_round(s, &T_FWD) ^ rk;
+            s = permute_nibbles(m_prime(apply_sbox(s, &SBOX)), &SR) ^ rk;
         }
-        s = apply_sbox_bytes(fused_round(s, &T_MID), &SBOX_INV_BYTES);
+        s = apply_sbox(m_prime(apply_sbox(s, &SBOX)), &SBOX_INV);
         for rk in &c.rks[6..11] {
-            s = apply_sbox_bytes(fused_round(s ^ rk, &T_BWD), &SBOX_INV_BYTES);
+            s = apply_sbox(m_prime(permute_nibbles(s ^ rk, &SR_INV)), &SBOX_INV);
         }
         s ^ c.rks[11] ^ c.k0_prime
     }
@@ -460,7 +478,7 @@ mod tests {
     }
 
     /// `N` lanes under independent random keys and blocks equal `N`
-    /// one-block encryptions, and both equal the sequential reference.
+    /// one-block encryptions, and both equal the round-by-round reference.
     fn check_random_lanes<const N: usize>(seed: u64) {
         let mut x = seed;
         let mut next = || {

@@ -198,9 +198,9 @@ impl RowIndirectionTable {
     }
 
     /// Adopts a shared telemetry spine: the `rit.tlb.*` hit/miss counters,
-    /// one event per [`RowIndirectionTable::resolve`], are re-registered
-    /// there (idempotent by name, so every bank's RIT shares the same
-    /// aggregate counters).
+    /// one event per [`RowIndirectionTable::resolve`] of a table that
+    /// holds an entry, are re-registered there (idempotent by name, so
+    /// every bank's RIT shares the same aggregate counters).
     pub fn attach_telemetry(&mut self, telemetry: &Telemetry) {
         self.tlb.hits = telemetry.counter("rit.tlb.hits");
         self.tlb.misses = telemetry.counter("rit.tlb.misses");
@@ -283,9 +283,14 @@ impl RowIndirectionTable {
     /// Physical row currently holding logical row `logical` (§4.1 step ②/③:
     /// redirect if present, original location otherwise).
     ///
-    /// Served from the resolve-TLB when possible; misses consult the
-    /// forward CAT and fill the cache.
+    /// An empty table (an RIT with no swaps) answers `logical` before the
+    /// cache is read, so the `rit.tlb.*` counters see only the resolves
+    /// that consult it. Otherwise it is served from the resolve-TLB when
+    /// possible; misses consult the forward CAT and fill the cache.
     pub fn resolve(&self, logical: u64) -> u64 {
+        if self.forward.is_empty() {
+            return logical;
+        }
         if let Some(physical) = self.tlb.lookup(logical) {
             return physical;
         }

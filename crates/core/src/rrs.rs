@@ -234,7 +234,8 @@ impl<T: HotRowTracker> BankRrs<T> {
     /// Adopts a shared telemetry spine, forwarding it to the tracker and
     /// the RIT (all banks share the `hrt.*` / `cat.*` / `rit.tlb.*` /
     /// `rrs.capacity_stalls` aggregate counters by name; `rit.tlb.*`
-    /// counts one hit or miss per [`BankRrs::resolve`]).
+    /// counts one hit or miss per [`BankRrs::resolve`] while the bank's
+    /// RIT holds an entry).
     pub fn attach_telemetry(&mut self, telemetry: &rrs_telemetry::Telemetry) {
         self.tracker.attach_telemetry(telemetry);
         self.rit.attach_telemetry(telemetry);

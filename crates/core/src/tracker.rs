@@ -319,7 +319,7 @@ impl CatTracker {
         let m = self
             .cat
             .set_iter(table, set)
-            .map(|(_, &c)| u64::from(c))
+            .map(|(_, _, &c)| u64::from(c))
             .min()
             .unwrap_or(u64::MAX);
         self.write_set_min(table, set, m);
@@ -394,28 +394,17 @@ impl CatTracker {
         self.min_cache
     }
 
-    fn evict_one_min(&mut self, min: u64) {
-        if self.try_evict_min(min) {
-            return;
-        }
-        // SetMin metadata can go stale when a CAT install Cuckoo-relocated
-        // an entry between sets (hardware recomputes SetMin on every
-        // install/invalidation, §6.4 — relocation is both at once). Repair
-        // all sets and retry with the refreshed global minimum.
-        self.rebuild_set_min();
-        let min = self.global_min();
-        if min == u64::MAX || self.try_evict_min(min) {
-            return;
-        }
-        unreachable!("rebuilt set_min must be locatable");
-    }
-
-    fn try_evict_min(&mut self, min: u64) -> bool {
+    /// Evicts one entry at the global minimum `min`; `false` if no set
+    /// held one, which an exact SetMin array rules out.
+    fn evict_one_min(&mut self, min: u64) -> bool {
         // Find a minimum-count victim first (immutably), then mutate: the
         // victim is the first entry at `min` in the first set (row-major)
         // whose SetMin equals `min`. The scan cursor lets the search start
         // past the prefix known to hold no at-minimum set — same victim,
-        // without re-walking the whole SetMin array every eviction.
+        // without re-walking the whole SetMin array every eviction. One
+        // walk of a candidate set finds its first way at `min` and the
+        // minimum of its other residents, the set's SetMin once the victim
+        // is gone.
         #[cfg(debug_assertions)]
         for (t, mins) in self.set_min.iter().enumerate() {
             for (s, &m) in mins.iter().enumerate() {
@@ -440,9 +429,18 @@ impl CatTracker {
                 if first_at_min.is_none() {
                     first_at_min = Some((t, s));
                 }
-                if let Some((tag, _)) = self.cat.set_iter(t, s).find(|(_, &c)| u64::from(c) == min)
-                {
-                    victim = Some((t, s, tag));
+                let mut at_min = None;
+                let mut rest_min = u64::MAX;
+                for (way, tag, &c) in self.cat.set_iter(t, s) {
+                    let c = u64::from(c);
+                    if at_min.is_none() && c == min {
+                        at_min = Some((way, tag));
+                    } else {
+                        rest_min = rest_min.min(c);
+                    }
+                }
+                if let Some((way, tag)) = at_min {
+                    victim = Some(((t, s, way), tag, rest_min));
                     break 'scan;
                 }
             }
@@ -454,13 +452,13 @@ impl CatTracker {
                 self.min_scan_hint = pos;
             }
         }
-        let Some((t, s, tag)) = victim else {
+        let Some((at @ (t, s, _), tag, rest_min)) = victim else {
             return false;
         };
-        if self.cat.remove_in_set(t, s, tag).is_none() {
+        if self.cat.remove_at(at).is_none() {
             return false;
         }
-        self.recompute_set_min(t, s);
+        self.write_set_min(t, s, rest_min);
         self.evicts.inc();
         if self.telemetry.tracing() {
             self.telemetry.emit(Event::HrtEvict {
@@ -501,6 +499,13 @@ impl CatTracker {
                 self.write_set_min(table, set, old.min(count));
                 self.installs.inc();
                 let moves = self.cat.relocations() - relocations_before;
+                if moves > 0 {
+                    // A relocation moved a resident between sets, an
+                    // invalidation and an install at once, so both sets'
+                    // SetMins are recomputed (§6.4). It is rare enough
+                    // (Figure 9) to rebuild them all.
+                    self.rebuild_set_min();
+                }
                 self.cat_relocations.add(moves);
                 if self.telemetry.tracing() {
                     let at = self.telemetry.now();
@@ -546,7 +551,8 @@ impl CatTracker {
                 estimated_count: self.spill,
             }
         } else {
-            self.evict_one_min(min);
+            let evicted = self.evict_one_min(min);
+            debug_assert!(evicted, "no set holds the global minimum {min}");
             let c = self.spill + 1;
             self.install(row, c);
             AccessVerdict {
@@ -1055,10 +1061,80 @@ mod tests {
     fn assert_set_min_exact(t: &CatTracker) {
         for (table, mins) in t.set_min.iter().enumerate() {
             for (set, &m) in mins.iter().enumerate() {
-                let scanned = t.cat.set_iter(table, set).map(|(_, &c)| u64::from(c)).min();
+                let scanned = t
+                    .cat
+                    .set_iter(table, set)
+                    .map(|(_, _, &c)| u64::from(c))
+                    .min();
                 assert_eq!(m, scanned.unwrap_or(u64::MAX), "SetMin of ({table}, {set})");
             }
         }
+    }
+
+    /// The victim the three-pass eviction picked, rebuilt from `t`'s state
+    /// before the eviction: the first entry at the global minimum (in way
+    /// order) in the first set, row-major, whose SetMin holds it.
+    fn three_pass_victim(t: &CatTracker) -> Option<u64> {
+        let min = t.set_min.iter().flatten().copied().min()?;
+        t.set_min.iter().enumerate().find_map(|(table, sets)| {
+            sets.iter().enumerate().find_map(|(set, &m)| {
+                let mut at_min = t
+                    .cat
+                    .set_iter(table, set)
+                    .filter(|&(_, _, &c)| m == min && u64::from(c) == min);
+                at_min.next().map(|(_, tag, _)| tag)
+            })
+        })
+    }
+
+    #[test]
+    fn one_pass_eviction_matches_three_pass_search() {
+        // Two sets of two ways per table and no extra way: the table fills,
+        // installs Cuckoo-relocate, and every miss of a full tracker either
+        // spills or evicts.
+        let cat_cfg = CatConfig {
+            sets: 2,
+            demand_ways: 2,
+            extra_ways: 0,
+            hash_seed: 0x5E7,
+        };
+        let telemetry = Telemetry::new();
+        let mut t = CatTracker::with_cat_config(cfg(cat_cfg.slots(), 1 << 20), cat_cfg);
+        t.attach_telemetry(&telemetry);
+        let evicts = telemetry.counter("hrt.evicts");
+        let mut x = 77u64;
+        let mut evictions = 0;
+        for _ in 0..20_000 {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            // A few hot rows keep the counts of the residents apart; the
+            // rest of the traffic churns through misses.
+            let row = if x >> 62 == 0 {
+                (x >> 40) % 4
+            } else {
+                4 + (x >> 40) % 60
+            };
+            let before = t.clone();
+            let evict_due = !before.contains(row)
+                && before.len() >= before.config.entries
+                && before.set_min.iter().flatten().any(|&m| m <= before.spill);
+            let evicts_before = evicts.get();
+            t.record_access(row);
+            assert_set_min_exact(&t);
+            assert_eq!(evicts.get() - evicts_before, u64::from(evict_due));
+            if !evict_due {
+                continue;
+            }
+            evictions += 1;
+            let victim = three_pass_victim(&before).expect("a set holds the minimum");
+            assert!(!t.contains(victim), "row {victim} was the victim");
+            for (other, _) in before.cat.iter().filter(|&(r, _)| r != victim) {
+                assert!(t.contains(other), "row {other} was evicted, not {victim}");
+            }
+        }
+        assert!(evictions > 1_000, "only {evictions} evictions");
+        assert!(t.cat.relocations() > 0, "no install relocated");
     }
 
     #[test]

@@ -77,10 +77,12 @@ fn flat_map_matches_btreemap() {
 /// The resolve-TLB is a pure cache: after any sequence of swaps, unswaps,
 /// evictions, and epoch ends, the cached `resolve` answers match the
 /// mappings the public `iter()` lists for every probed row, and the
-/// hit/miss counters account for exactly one event per `resolve` call and
-/// none per `occupant` call.
+/// hit/miss counters account for exactly one event per `resolve` call of
+/// an RIT that holds an entry, none per `resolve` of an empty one (it
+/// answers before the cache) and none per `occupant` call.
 #[test]
 fn rit_tlb_matches_uncached_resolution() {
+    let windows_by_emptiness = [Cell::new(0u32), Cell::new(0u32)];
     check(|g| {
         let telemetry = Telemetry::new();
         let rows = 32u64;
@@ -113,9 +115,10 @@ fn rit_tlb_matches_uncached_resolution() {
         }
         RitAudit::verify(&rit).unwrap();
 
-        // Counter identity: every `resolve` lands in exactly one of
-        // hits/misses and `occupant` in neither (measured over a clean
-        // window of known size).
+        // Counter identity: while the forward CAT holds an entry, every
+        // `resolve` lands in exactly one of hits/misses; an empty RIT
+        // answers before the cache, and `occupant` never reads it
+        // (measured over a clean window of known size).
         let hits = telemetry.counter("rit.tlb.hits");
         let misses = telemetry.counter("rit.tlb.misses");
         let before = hits.get() + misses.get();
@@ -124,7 +127,74 @@ fn rit_tlb_matches_uncached_resolution() {
             rit.resolve(q % rows);
             rit.occupant((q * 7) % rows);
         }
-        assert_eq!(hits.get() + misses.get() - before, queries);
+        let empty = rit.tuples_in_use() == 0;
+        let consulted = if empty { 0 } else { queries };
+        assert_eq!(hits.get() + misses.get() - before, consulted);
+        let cases = &windows_by_emptiness[usize::from(empty)];
+        cases.set(cases.get() + 1);
+    });
+    for (cases, what) in windows_by_emptiness
+        .iter()
+        .zip(["holding an entry", "empty"])
+    {
+        assert!(cases.get() > 0, "no case measured an RIT {what}");
+    }
+}
+
+/// An RIT drained to empty through unswaps and evictions resolves every
+/// row to itself without touching the cache, passes the audit, and the
+/// identity lines it cached while it held entries cannot outlive the next
+/// swap of their rows.
+#[test]
+fn drained_rit_keeps_no_stale_identity_line() {
+    check(|g| {
+        let telemetry = Telemetry::new();
+        let rows = 32u64;
+        let mut rit = RowIndirectionTable::new(8, rows, g.u128());
+        rit.attach_telemetry(&telemetry);
+        while rit.tuples_in_use() == 0 {
+            for _ in 0..g.usize_in(1..5) {
+                let _ = rit.swap(g.below(rows), g.below(rows));
+            }
+        }
+        // Cache a line for every row, identities included.
+        for row in 0..rows {
+            rit.resolve(row);
+        }
+        rit.end_epoch();
+        loop {
+            let Some((logical, _)) = rit.iter().next() else {
+                break;
+            };
+            if g.below(2) == 0 {
+                rit.evict_one(g.u64()).expect("every entry is unlocked");
+            } else {
+                rit.unswap(logical).expect("a listed row is displaced");
+            }
+        }
+        let hits = telemetry.counter("rit.tlb.hits");
+        let misses = telemetry.counter("rit.tlb.misses");
+        let before = hits.get() + misses.get();
+        for row in 0..rows + 4 {
+            assert_eq!(rit.resolve(row), row);
+        }
+        assert_eq!(
+            hits.get() + misses.get(),
+            before,
+            "an empty RIT read the cache"
+        );
+        RitAudit::verify(&rit).unwrap();
+        // Swap again: the rows' old identity lines must not answer.
+        let (a, b) = (g.below(rows), g.below(rows));
+        if a != b {
+            rit.swap(a, b).unwrap();
+            let mapped: BTreeMap<u64, u64> = rit.iter().collect();
+            for row in 0..rows {
+                let expected = mapped.get(&row).copied().unwrap_or(row);
+                assert_eq!(rit.resolve(row), expected, "resolve({row})");
+            }
+            RitAudit::verify(&rit).unwrap();
+        }
     });
 }
 

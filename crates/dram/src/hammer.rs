@@ -50,24 +50,37 @@ impl Page {
             acts: [0; PAGE_ROWS],
         })
     }
+
+    fn clear(&mut self) {
+        self.disturbance.fill(0.0);
+        self.acts.fill(0);
+    }
 }
 
 /// One page of a bank: allocated on first touch, and dirty while any of
-/// its rows holds window state. A page that is not dirty is all zeros.
+/// its rows holds window state. A page that is not dirty is all zeros,
+/// unless it is stale: it still holds the state of an ended window, which
+/// reads as zero and is cleared on the page's first touch in a new one.
 #[derive(Debug, Clone, Default)]
 struct Slot {
     page: Option<Box<Page>>,
     dirty: bool,
+    stale: bool,
 }
 
 impl Slot {
-    /// The page, allocated if need be and put on `dirty` as page `index`.
+    /// The page, allocated (or cleared, if stale) if need be and put on
+    /// `dirty` as page `index`.
     fn touch(&mut self, index: usize, dirty: &mut Vec<usize>) -> &mut Page {
+        let page = self.page.get_or_insert_with(Page::zeroed);
         if !self.dirty {
             self.dirty = true;
             dirty.push(index);
+            if std::mem::take(&mut self.stale) {
+                page.clear();
+            }
         }
-        self.page.get_or_insert_with(Page::zeroed)
+        page
     }
 }
 
@@ -303,16 +316,16 @@ impl HammerModel {
 
     /// Ends the refresh window: every row has been refreshed once, so all
     /// accumulated disturbance is cleared and per-window counters reset.
+    /// The window's pages are only marked stale; each is cleared on its
+    /// first touch in the new window, so pages the new window never
+    /// reaches are not written at all.
     pub fn end_epoch(&mut self) {
         self.settle();
         for BankRows { slots, dirty } in &mut self.banks {
             for p in dirty.drain(..) {
                 if let Some(slot) = slots.get_mut(p) {
                     slot.dirty = false;
-                    if let Some(page) = slot.page.as_deref_mut() {
-                        page.disturbance.fill(0.0);
-                        page.acts.fill(0);
-                    }
+                    slot.stale = true;
                 }
             }
         }
@@ -420,7 +433,8 @@ impl HammerModel {
         }
     }
 
-    /// `addr`'s page and offset, if its page has been allocated.
+    /// `addr`'s page and offset, if its page has been allocated and holds
+    /// the current window (a stale page reads as zero).
     fn page_of(&mut self, addr: RowAddr) -> Option<(&Page, usize)> {
         self.settle();
         let row = addr.row.0 as usize;
@@ -428,7 +442,8 @@ impl HammerModel {
             .banks
             .get(addr.bank_index(&self.geometry))?
             .slots
-            .get(row / PAGE_ROWS)?;
+            .get(row / PAGE_ROWS)
+            .filter(|slot| !slot.stale)?;
         Some((slot.page.as_deref()?, row % PAGE_ROWS))
     }
 
@@ -663,6 +678,35 @@ mod tests {
         assert_eq!(m.pages_allocated(), 1);
         m.end_epoch();
         assert_eq!(m.pages_allocated(), 1, "epoch end keeps pages for reuse");
+    }
+
+    #[test]
+    fn stale_pages_read_zero_and_clear_on_next_touch() {
+        let mut m = model();
+        let agg = RowAddr::new(0, 0, 0, 500);
+        for _ in 0..100 {
+            m.record_activation(agg);
+        }
+        m.end_epoch();
+        let bank = agg.bank_index(&m.geometry);
+        let raw_acts = |m: &HammerModel, row: usize| {
+            let page = m.banks[bank].slots[row / PAGE_ROWS].page.as_deref();
+            page.expect("the page stays allocated").acts[row % PAGE_ROWS]
+        };
+        // The ended window's counts are still in the page, but read as 0.
+        assert_eq!(raw_acts(&m, 500), 100);
+        assert_eq!(m.activations_of(agg), 0);
+        assert_eq!(m.disturbance_of(agg.with_row(501)), 0.0);
+        assert_eq!(m.rows_with_activations_at_least(0), 0);
+        // The first touch in the new window (applied by the first read)
+        // clears the whole page.
+        m.record_activation(agg.with_row(300));
+        assert_eq!(m.activations_of(agg.with_row(300)), 1);
+        assert_eq!(raw_acts(&m, 500), 0);
+        assert_eq!(m.activations_of(agg), 0);
+        assert_eq!(m.disturbance_of(agg.with_row(501)), 0.0);
+        assert_eq!(m.disturbance_of(agg.with_row(301)), 1.0);
+        assert_eq!(m.rows_with_activations_at_least(1), 1);
     }
 
     #[test]
