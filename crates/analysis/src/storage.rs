@@ -64,7 +64,7 @@ pub fn storage_breakdown(
     // counts up to ~T_RRS with slack; the paper budgets 10 bits at T=800).
     let trk_set_bits = (tracker_shape.sets as u32).trailing_zeros();
     // Counter wide enough for T_RRS (10 bits at T=800, per Table 5).
-    let counter_bits = (64 - config.t_rrs.leading_zeros().min(63)).max(4);
+    let counter_bits = (64 - config.t_rrs().leading_zeros().min(63)).max(4);
     let trk_entry_bits = 1 + (row_bits - trk_set_bits) + counter_bits;
     let trk_entries = tracker_shape.slots();
 
@@ -170,7 +170,7 @@ mod tests {
         let shape = |c: &RrsConfig| {
             (
                 CatConfig::for_capacity(2 * c.rit_tuples, 14, 6),
-                CatConfig::for_capacity(c.tracker_entries, 14, 6),
+                CatConfig::for_capacity(c.tracker_entries(), 14, 6),
             )
         };
         let (br, bt) = shape(&base);

@@ -18,12 +18,14 @@ use rrs::analysis::attack_model::AttackModel;
 use rrs::analysis::cat_model::CatModel;
 use rrs::campaign::{Campaign, CampaignRun, RunOptions};
 use rrs::core::detector::DetectorConfig;
-use rrs::core::rrs::{BankRrs, RrsConfig};
+use rrs::core::rrs::{BankRrs, RrsAction, RrsConfig};
 use rrs::core::tracker::{CbfTracker, HotRowTracker, ProbabilisticTrigger};
 use rrs::dram::geometry::RowAddr;
 use rrs::experiments::{geomean, mean, ExperimentConfig, MitigationKind};
 use rrs::mitigations::RrsMitigation;
-use rrs::sim::{SystemConfig, TraceRecord, TraceSource};
+use rrs::sim::config::FETCH_WIDTH;
+use rrs::sim::{run_probed, SystemConfig, TraceRecord, TraceSource};
+use rrs::telemetry::Telemetry;
 use rrs::workloads::attacks::Attack;
 use rrs::workloads::catalog::Workload;
 use rrs::workloads::generator::sources_for_workload;
@@ -184,7 +186,7 @@ fn table2(_: &FigureArgs, out: &mut Output) {
         ("Cores (OoO)", c.cores.to_string()),
         ("Processor clock speed", format!("{} GHz", t.cpu_ghz)),
         ("Outstanding misses per core", c.max_outstanding.to_string()),
-        ("Fetch and Retire width", c.fetch_width.to_string()),
+        ("Fetch and Retire width", FETCH_WIDTH.to_string()),
         (
             "Last Level Cache (Shared)",
             "8MB, 16-Way, 64B lines (not simulated: traces are post-cache)".to_string(),
@@ -893,7 +895,8 @@ fn tracker_ablation(_: &FigureArgs, out: &mut Output) {
     out.line("== Tracker ablation: swaps triggered per tracker ==");
     out.line(format_args!(
         "design point: T_RRS = {}, tracker entries (MG) = {}\n",
-        config.t_rrs, config.tracker_entries
+        config.t_rrs(),
+        config.tracker_entries()
     ));
 
     // Workload: a few genuinely hot rows + background noise.
@@ -908,16 +911,24 @@ fn tracker_ablation(_: &FigureArgs, out: &mut Output) {
         }
     }
     // Replays the stream through `bank`, prints its row, returns its swaps.
+    // Swaps and unswaps are the actions the bank emits; stalls are its
+    // `rrs.capacity_stalls` counter.
     fn replay<T: HotRowTracker>(label: &str, mut bank: BankRrs<T>, out: &mut Output) -> u64 {
+        let spine = Telemetry::new();
+        bank.attach_telemetry(&spine);
+        let (mut swaps, mut unswaps) = (0u64, 0u64);
         for i in 0..40_000 {
-            bank.on_activation(stream(i), |_| {});
+            bank.on_activation(stream(i), |action| match action {
+                RrsAction::Swap(_) => swaps += 1,
+                RrsAction::Unswap(_) => unswaps += 1,
+                RrsAction::Alarm { .. } => {}
+            });
         }
-        let s = bank.stats();
+        let stalls = spine.counter("rrs.capacity_stalls").get();
         out.line(format_args!(
-            "{:<24} {:>10} {:>10} {:>10}",
-            label, s.swaps, s.unswaps, s.capacity_stalls
+            "{label:<24} {swaps:>10} {unswaps:>10} {stalls:>10}"
         ));
-        s.swaps
+        swaps
     }
 
     out.line("tracker                       swaps    unswaps     stalls");
@@ -930,11 +941,11 @@ fn tracker_ablation(_: &FigureArgs, out: &mut Output) {
     ]
     .into_iter()
     .map(|(label, counters)| {
-        let tracker = CbfTracker::new(config.t_rrs, counters, 3, 0xAB1A7E);
+        let tracker = CbfTracker::new(config.t_rrs(), counters, 3, 0xAB1A7E);
         replay(label, BankRrs::with_tracker(config, 0, tracker), out)
     })
     .collect();
-    let trigger = ProbabilisticTrigger::new(1.0 / config.t_rrs as f64, 0xAB1A7E);
+    let trigger = ProbabilisticTrigger::new(1.0 / config.t_rrs() as f64, 0xAB1A7E);
     let stateless = replay(
         "stateless p = 1/T_RRS",
         BankRrs::with_tracker(config, 0, trigger),
@@ -1060,7 +1071,13 @@ fn detector_study(args: &FigureArgs, out: &mut Output) {
     let mut runs = 0u64;
     for w in args.workloads.iter().take(20) {
         let sources = sources_for_workload(w, &sys, args.config.seed);
-        let r = rrs::sim::run(&sys, Box::new(mk_rrs(2)), sources, w.name());
+        let r = run_probed(
+            &sys,
+            Box::new(mk_rrs(2)),
+            sources,
+            w.name(),
+            &Telemetry::new(),
+        );
         total_alarms += r.stats.full_refreshes;
         runs += 1;
     }
@@ -1082,7 +1099,13 @@ fn detector_study(args: &FigureArgs, out: &mut Output) {
         attack_sys.instructions_per_core = windows * timing.epoch / timing.t_rc;
         let attacker: Vec<Box<dyn TraceSource>> =
             vec![Box::new(Attack::new(kind, mapper, args.config.seed))];
-        rrs::sim::run(&attack_sys, Box::new(mk_rrs(alarm)), attacker, label)
+        run_probed(
+            &attack_sys,
+            Box::new(mk_rrs(alarm)),
+            attacker,
+            label,
+            &Telemetry::new(),
+        )
     };
     for alarm in [2u32, 3, 4] {
         let r = attack_run(args.config.swap_chasing_attack(), 2, alarm, "swap-chasing");
@@ -1116,7 +1139,7 @@ fn detector_study(args: &FigureArgs, out: &mut Output) {
         r.stats.activations
     ));
     // Compared exactly: activations ≤ refreshes × alarm × T_RRS.
-    let bound = u64::from(alarm) * rrs.t_rrs;
+    let bound = u64::from(alarm) * rrs.t_rrs();
     out.line(format_args!(
         "Alarms within {alarm} × T_RRS = {bound} activations: {} ({:.1} activations per alarm)",
         verdict(r.stats.activations <= r.stats.full_refreshes * bound),
@@ -1256,11 +1279,12 @@ fn duty_cycle(args: &FigureArgs, out: &mut Output) {
         let mapper = rrs::mem_ctrl::AddressMapper::new(sys.controller.geometry);
         let attacker: Vec<Box<dyn TraceSource>> =
             vec![Box::new(MultiBankAttack::new(&mapper, banks))];
-        let r = rrs::sim::run(
+        let r = run_probed(
             &sys,
             cfg.build_mitigation(MitigationKind::Rrs),
             attacker,
             label,
+            &Telemetry::new(),
         );
         // D = achieved activations / the tRC-limited maximum over the
         // attacked banks for the elapsed time.

@@ -884,14 +884,7 @@ fn cmd_capture(flags: &Flags) -> Result<(), CliError> {
     let records: usize = flags.get_num("records")?.unwrap_or(100_000);
     let out = flags.get("out").unwrap_or("trace.rrst").to_string();
     let sys = cfg.system_config();
-    let mapper = rrs::mem_ctrl::mapping::AddressMapper::new(sys.controller.geometry);
-    let mut generator = rrs::workloads::generator::SyntheticWorkload::new(
-        &spec,
-        0,
-        rrs::workloads::generator::GenParams::from_system(&sys),
-        &mapper,
-        cfg.seed,
-    );
+    let mut generator = rrs::workloads::generator::SyntheticWorkload::new(&spec, 0, &sys, cfg.seed);
     let trace = rrs_trace::capture(&mut generator, records);
     let format = if flags.has("text") {
         rrs_trace::TraceFormat::Text
@@ -920,7 +913,8 @@ fn cmd_replay(flags: &Flags) -> Result<(), CliError> {
             Box::new(rrs_trace::ReplaySource::new(records.clone(), path)) as Box<dyn TraceSource>
         })
         .collect();
-    let result = rrs::sim::run(&sys, cfg.build_mitigation(kind), sources, path);
+    let mitigation = cfg.build_mitigation(kind);
+    let result = rrs::sim::run_probed(&sys, mitigation, sources, path, &Telemetry::new());
     print_run(&result);
     Ok(())
 }

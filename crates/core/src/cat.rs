@@ -751,16 +751,6 @@ impl<V: Copy + Default> Cat<V> {
         cell.map(|cell| cell.set(word)).is_some()
     }
 
-    /// Picks the `n`-th valid entry in slot order, wrapping around; `None`
-    /// when empty. Combined with a random `n` this implements the random
-    /// eviction candidate selection of §6.1.
-    pub fn nth_entry(&self, n: usize) -> Option<(u64, &V)> {
-        if self.len == 0 {
-            return None;
-        }
-        self.iter_from(n % self.len).next()
-    }
-
     /// [`Cat::iter`] rotated to start at the `n`-th entry: the sequence of
     /// `iter().skip(n).chain(iter().take(n))`. The start is found by
     /// summing the per-set occupancy counters, so reaching it reads no slot
@@ -912,17 +902,6 @@ mod tests {
         items.sort();
         assert_eq!(items.len(), 10);
         assert_eq!(items[3], (3, 6));
-        Ok(())
-    }
-
-    #[test]
-    fn nth_entry_wraps() -> Result<(), CatConflict> {
-        let mut cat = small();
-        cat.insert(5, 50)?;
-        assert_eq!(cat.nth_entry(0).map(|(t, _)| t), Some(5));
-        assert_eq!(cat.nth_entry(7).map(|(t, _)| t), Some(5));
-        let empty = small();
-        assert!(empty.nth_entry(0).is_none());
         Ok(())
     }
 

@@ -36,7 +36,6 @@ impl Default for DetectorConfig {
 pub struct SwapDetector {
     config: DetectorConfig,
     swaps_this_epoch: FlatMap<u32>,
-    alarms: u64,
 }
 
 impl SwapDetector {
@@ -45,7 +44,6 @@ impl SwapDetector {
         SwapDetector {
             config,
             swaps_this_epoch: FlatMap::new(),
-            alarms: 0,
         }
     }
 
@@ -59,22 +57,12 @@ impl SwapDetector {
     pub fn record_swap(&mut self, row: u64) -> bool {
         let c = self.swaps_this_epoch.get_or_insert_with(row, || 0);
         *c += 1;
-        if *c == self.config.swaps_per_row_alarm {
-            self.alarms += 1;
-            true
-        } else {
-            false
-        }
+        *c == self.config.swaps_per_row_alarm
     }
 
     /// Swaps recorded for `row` this epoch.
     pub fn swaps_of(&self, row: u64) -> u32 {
         self.swaps_this_epoch.get(row).copied().unwrap_or(0)
-    }
-
-    /// Lifetime alarm count.
-    pub fn alarms(&self) -> u64 {
-        self.alarms
     }
 
     /// Clears per-epoch counters.
@@ -97,7 +85,6 @@ mod tests {
         assert!(d.record_swap(5));
         // Only once per threshold crossing.
         assert!(!d.record_swap(5));
-        assert_eq!(d.alarms(), 1);
         assert_eq!(d.swaps_of(5), 4);
     }
 
@@ -107,7 +94,6 @@ mod tests {
         for row in 0..1000u64 {
             assert!(!d.record_swap(row), "benign spread must not alarm");
         }
-        assert_eq!(d.alarms(), 0);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use prince::Prince;
 pub use prng::PrinceCtrRng;
 pub use rit::{PhysicalSwap, RitError, RowIndirectionTable};
 pub use rng::DetRng;
-pub use rrs::{BankRrs, BankRrsStats, RrsAction, RrsConfig, DEFAULT_K};
+pub use rrs::{BankRrs, RrsAction, RrsConfig, DEFAULT_K, RIT_LOOKUP_CYCLES};
 pub use tracker::{
     AccessVerdict, CamTracker, CatTracker, CbfTracker, HotRowTracker, ProbabilisticTrigger,
     TrackerConfig,

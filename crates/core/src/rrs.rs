@@ -23,24 +23,24 @@ use crate::tracker::{CatTracker, HotRowTracker, TrackerConfig};
 /// Paper default: `T_RH / T_RRS` (the `k` of §5.3; Table 4 selects k = 6).
 pub const DEFAULT_K: u64 = 6;
 
-/// Configuration of the RRS engine.
+/// Extra controller latency of the RIT lookup on every access (§4.7: "We
+/// add a 4-cycle latency for RIT access").
+pub const RIT_LOOKUP_CYCLES: u64 = 4;
+
+/// Configuration of the RRS engine. It stores only its inputs; `T_RRS`
+/// and the tracker size are derived from them ([`RrsConfig::t_rrs`],
+/// [`RrsConfig::tracker_config`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RrsConfig {
     /// The Row Hammer threshold being defended against.
     pub t_rh: u64,
-    /// Swap threshold `T_RRS`: a row is swapped at every multiple.
-    pub t_rrs: u64,
     /// Rows per bank (the randomization space, `N` in §5.3).
     pub rows_per_bank: u64,
     /// Maximum activations per bank per epoch (`ACT_max`).
     pub act_max: u64,
-    /// Tracker entry budget (derived: `ceil(act_max / t_rrs)`).
-    pub tracker_entries: usize,
-    /// RIT tuple capacity (derived: `2 × tracker_entries`, §4.5).
+    /// RIT tuple capacity: `2 ×` [`RrsConfig::tracker_entries`] (§4.5);
+    /// the probabilistic variant sizes it for its larger swap volume.
     pub rit_tuples: usize,
-    /// Extra controller latency of the RIT lookup on every access
-    /// (§4.7: "We add a 4-cycle latency for RIT access").
-    pub rit_lookup_cycles: u64,
     /// PRNG / hash seed.
     pub seed: u128,
     /// Optional attack-detection co-design (§5.3.2 footnote 2).
@@ -67,23 +67,16 @@ impl RrsConfig {
     pub fn for_threshold(t_rh: u64, act_max: u64, rows_per_bank: u64) -> Self {
         assert!(t_rh >= DEFAULT_K, "T_RH too small");
         assert!(act_max > 0 && rows_per_bank > 0, "degenerate geometry");
-        let t_rrs = t_rh / DEFAULT_K;
-        #[expect(
-            clippy::cast_possible_truncation,
-            reason = "an entry count that does not fit in usize could not be allocated anyway"
-        )]
-        let tracker_entries = act_max.div_ceil(t_rrs) as usize;
-        RrsConfig {
+        let mut config = RrsConfig {
             t_rh,
-            t_rrs,
             rows_per_bank,
             act_max,
-            tracker_entries,
-            rit_tuples: 2 * tracker_entries,
-            rit_lookup_cycles: 4,
+            rit_tuples: 0,
             seed: 0x5252_535f_5345_4544, // "RRS_SEED"
             detector: None,
-        }
+        };
+        config.rit_tuples = 2 * config.tracker_entries();
+        config
     }
 
     /// Overrides the PRNG/hash seed.
@@ -98,17 +91,25 @@ impl RrsConfig {
         self
     }
 
+    /// Swap threshold `T_RRS = T_RH / k`: a row is swapped at every
+    /// multiple.
+    pub fn t_rrs(&self) -> u64 {
+        self.t_rh / DEFAULT_K
+    }
+
     /// The `k = T_RH / T_RRS` security parameter of §5.3.
     pub fn k(&self) -> u64 {
-        self.t_rh / self.t_rrs
+        self.t_rh / self.t_rrs()
+    }
+
+    /// Tracker entry budget, `ceil(ACT_max / T_RRS)`.
+    pub fn tracker_entries(&self) -> usize {
+        self.tracker_config().entries
     }
 
     /// Tracker configuration implied by this design point.
     pub fn tracker_config(&self) -> TrackerConfig {
-        TrackerConfig {
-            entries: self.tracker_entries,
-            threshold: self.t_rrs,
-        }
+        TrackerConfig::for_window(self.act_max, self.t_rrs())
     }
 }
 
@@ -134,24 +135,6 @@ pub enum RrsAction {
     },
 }
 
-/// Per-bank statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BankRrsStats {
-    /// Swaps issued over the unit's lifetime.
-    pub swaps: u64,
-    /// Un-swaps from RIT evictions.
-    pub unswaps: u64,
-    /// Swaps issued in the current epoch.
-    pub epoch_swaps: u64,
-    /// Destination re-generations because the first random pick was in the
-    /// HRT/RIT (§4.4 predicts < 1% need more than one retry).
-    pub destination_retries: u64,
-    /// Swaps that were due but dropped: the RIT was full of locked
-    /// entries, no destination was found, or the RIT refused the swap.
-    /// Also counted in the `rrs.capacity_stalls` registry counter.
-    pub capacity_stalls: u64,
-}
-
 /// The RRS engine of a single bank: hot-row tracker, RIT, and the
 /// PRINCE-CTR destination generator.
 ///
@@ -168,8 +151,12 @@ pub struct BankRrs<T: HotRowTracker = CatTracker> {
     rit: RowIndirectionTable,
     prng: PrinceCtrRng,
     detector: Option<SwapDetector>,
-    stats: BankRrsStats,
+    /// Swaps that were due but dropped: the RIT was full of locked
+    /// entries, no destination was found, or the RIT refused the swap.
     capacity_stalls: Counter,
+    /// Destination re-generations because a random pick was in the HRT or
+    /// the RIT (§4.4 predicts < 1% of swaps need more than one retry).
+    destination_retries: Counter,
 }
 
 impl BankRrs<CatTracker> {
@@ -221,8 +208,8 @@ impl<T: HotRowTracker> BankRrs<T> {
             ),
             prng: PrinceCtrRng::new(seed),
             detector: config.detector.map(SwapDetector::new),
-            stats: BankRrsStats::default(),
             capacity_stalls: Counter::default(),
+            destination_retries: Counter::default(),
         }
     }
 
@@ -233,13 +220,15 @@ impl<T: HotRowTracker> BankRrs<T> {
 
     /// Adopts a shared telemetry spine, forwarding it to the tracker and
     /// the RIT (all banks share the `hrt.*` / `cat.*` / `rit.tlb.*` /
-    /// `rrs.capacity_stalls` aggregate counters by name; `rit.tlb.*`
-    /// counts one hit or miss per [`BankRrs::resolve`] while the bank's
-    /// RIT holds an entry).
+    /// `rrs.*` aggregate counters by name; `rit.tlb.*` counts one hit or
+    /// miss per [`BankRrs::resolve`] while the bank's RIT holds an entry).
+    /// Swaps and unswaps are counted by whoever executes the emitted
+    /// [`RrsAction`]s.
     pub fn attach_telemetry(&mut self, telemetry: &rrs_telemetry::Telemetry) {
         self.tracker.attach_telemetry(telemetry);
         self.rit.attach_telemetry(telemetry);
         self.capacity_stalls = telemetry.counter("rrs.capacity_stalls");
+        self.destination_retries = telemetry.counter("rrs.destination_retries");
     }
 
     /// Physical row currently holding logical `row` (§4.1 steps ①–③).
@@ -257,11 +246,6 @@ impl<T: HotRowTracker> BankRrs<T> {
         &self.rit
     }
 
-    /// Accumulated statistics.
-    pub fn stats(&self) -> BankRrsStats {
-        self.stats
-    }
-
     /// Records one activation of logical `row`; passes the physical
     /// operations the controller must now perform to `emit`, in order.
     pub fn on_activation(&mut self, row: u64, mut emit: impl FnMut(RrsAction)) {
@@ -272,27 +256,22 @@ impl<T: HotRowTracker> BankRrs<T> {
         while self.rit.tuples_in_use() + 2 > self.rit.tuple_capacity() {
             let pick = self.prng.next_u64();
             match self.rit.evict_one(pick) {
-                Some(ps) => {
-                    self.stats.unswaps += 1;
-                    emit(RrsAction::Unswap(ps));
-                }
+                Some(ps) => emit(RrsAction::Unswap(ps)),
                 None => {
                     // All entries locked: cannot swap safely. The paper's
                     // sizing does not rule this out: a sustained attack can
                     // fill the RIT with this epoch's swaps. Record and bail.
-                    self.record_stall();
+                    self.capacity_stalls.inc();
                     return;
                 }
             }
         }
         let Some(dest) = self.pick_destination(row) else {
-            self.record_stall();
+            self.capacity_stalls.inc();
             return;
         };
         match self.rit.swap(row, dest) {
             Ok(ps) => {
-                self.stats.swaps += 1;
-                self.stats.epoch_swaps += 1;
                 emit(RrsAction::Swap(ps));
                 if let Some(det) = &mut self.detector {
                     if det.record_swap(row) {
@@ -304,14 +283,8 @@ impl<T: HotRowTracker> BankRrs<T> {
             // three refusals are stalls.
             Err(RitError::CapacityExhausted)
             | Err(RitError::DegenerateSwap(_))
-            | Err(RitError::TableConflict) => self.record_stall(),
+            | Err(RitError::TableConflict) => self.capacity_stalls.inc(),
         }
-    }
-
-    /// Counts one swap that was due but dropped.
-    fn record_stall(&mut self) {
-        self.stats.capacity_stalls += 1;
-        self.capacity_stalls.inc();
     }
 
     /// Picks a random destination row "from all the rows in the bank",
@@ -323,7 +296,7 @@ impl<T: HotRowTracker> BankRrs<T> {
             let d = self.prng.next_below(self.config.rows_per_bank);
             if d != row && !self.tracker.contains(d) && !self.rit.involves(d) {
                 if attempt > 0 {
-                    self.stats.destination_retries += attempt as u64;
+                    self.destination_retries.add(u64::from(attempt));
                 }
                 return Some(d);
             }
@@ -332,15 +305,13 @@ impl<T: HotRowTracker> BankRrs<T> {
     }
 
     /// Epoch boundary: reset the tracker (§4.1), unlock RIT entries for
-    /// lazy drain (§4.3), reset per-epoch counters. Returns the number of
-    /// swaps performed in the ending epoch.
-    pub fn end_epoch(&mut self) -> u64 {
+    /// lazy drain (§4.3), reset the detector's per-epoch counts.
+    pub fn end_epoch(&mut self) {
         self.tracker.reset();
         self.rit.end_epoch();
         if let Some(det) = &mut self.detector {
             det.end_epoch();
         }
-        std::mem::take(&mut self.stats.epoch_swaps)
     }
 }
 
@@ -363,14 +334,22 @@ mod tests {
         actions
     }
 
+    /// Activates `row` `n` times; returns the swaps the activations emit.
+    fn hammer<T: HotRowTracker>(b: &mut BankRrs<T>, row: u64, n: u64) -> u64 {
+        let mut swaps = 0;
+        for _ in 0..n {
+            b.on_activation(row, |a| swaps += u64::from(matches!(a, RrsAction::Swap(_))));
+        }
+        swaps
+    }
+
     #[test]
     fn asplos22_derives_paper_parameters() {
         let c = RrsConfig::asplos22();
-        assert_eq!(c.t_rrs, 800);
-        assert_eq!(c.tracker_entries, 1700);
+        assert_eq!(c.t_rrs(), 800);
+        assert_eq!(c.tracker_entries(), 1700);
         assert_eq!(c.rit_tuples, 3400);
         assert_eq!(c.k(), 6);
-        assert_eq!(c.rit_lookup_cycles, 4);
     }
 
     #[test]
@@ -383,8 +362,8 @@ mod tests {
             (19_200, 3_200, 425),
         ] {
             let c = RrsConfig::for_threshold(t_rh, 1_360_000, 128 * 1024);
-            assert_eq!(c.t_rrs, t_rrs, "T_RRS for T_RH={t_rh}");
-            assert_eq!(c.tracker_entries, entries, "entries for T_RH={t_rh}");
+            assert_eq!(c.t_rrs(), t_rrs, "T_RRS for T_RH={t_rh}");
+            assert_eq!(c.tracker_entries(), entries, "entries for T_RH={t_rh}");
         }
     }
 
@@ -394,17 +373,13 @@ mod tests {
         for _ in 0..9 {
             assert!(activate(&mut b, 7).is_empty());
         }
-        assert_eq!(b.stats().swaps, 0);
     }
 
     #[test]
     fn swap_fires_at_threshold_and_redirects() {
         let mut b = BankRrs::new(small_config(), 0);
-        let mut actions = Vec::new();
-        for _ in 0..10 {
-            actions = activate(&mut b, 7);
-        }
-        assert_eq!(b.stats().swaps, 1);
+        assert_eq!(hammer(&mut b, 7, 9), 0);
+        let actions = activate(&mut b, 7);
         let swap = actions
             .iter()
             .find_map(|a| match a {
@@ -422,15 +397,16 @@ mod tests {
     fn repeated_hammering_causes_reswaps_to_fresh_locations() {
         let mut b = BankRrs::new(small_config(), 0);
         let mut locations = vec![b.resolve(7)];
+        let mut swaps = 0;
         for _ in 0..50 {
-            b.on_activation(7, |_| {});
+            swaps += hammer(&mut b, 7, 1);
             let loc = b.resolve(7);
             if loc != *locations.last().unwrap() {
                 locations.push(loc);
             }
         }
         // 50 activations at T=10 -> 5 swaps, each to a new location.
-        assert_eq!(b.stats().swaps, 5);
+        assert_eq!(swaps, 5);
         assert_eq!(locations.len(), 6);
         // Invariant 2: every destination was distinct from all prior homes
         // of this row in the epoch (fresh, <T-activated rows).
@@ -460,13 +436,9 @@ mod tests {
     #[test]
     fn end_epoch_resets_tracker_and_unlocks_rit() {
         let mut b = BankRrs::new(small_config(), 0);
-        for _ in 0..10 {
-            b.on_activation(3, |_| {});
-        }
-        assert_eq!(b.stats().epoch_swaps, 1);
-        let epoch_swaps = b.end_epoch();
-        assert_eq!(epoch_swaps, 1);
-        assert_eq!(b.stats().epoch_swaps, 0);
+        assert_eq!(hammer(&mut b, 3, 10), 1);
+        assert_eq!(b.rit().locked_count(), 2);
+        b.end_epoch();
         assert!(b.tracker().is_empty());
         assert_eq!(b.rit().locked_count(), 0);
         // Mapping persists across the epoch (no bulk unswap, §4.3).
@@ -512,13 +484,10 @@ mod tests {
         // unit must still swap a hammered row away within T_RRS-ish
         // activations (the CBF never underestimates).
         let cfg = small_config();
-        let tracker = crate::tracker::CbfTracker::new(cfg.t_rrs, 1_024, 3, 0xCBF);
+        let tracker = crate::tracker::CbfTracker::new(cfg.t_rrs(), 1_024, 3, 0xCBF);
         let mut b = BankRrs::with_tracker(cfg, 0, tracker);
-        for _ in 0..10 {
-            b.on_activation(7, |_| {});
-        }
         assert!(
-            b.stats().swaps >= 1,
+            hammer(&mut b, 7, 10) >= 1,
             "CBF-tracked RRS must swap the hot row"
         );
         assert_ne!(b.resolve(7), 7);
@@ -533,12 +502,24 @@ mod tests {
         let mut b = BankRrs::new(cfg, 0);
         let spine = rrs_telemetry::Telemetry::new();
         b.attach_telemetry(&spine);
-        for _ in 0..10 {
-            b.on_activation(4, |_| {});
+        assert_eq!(hammer(&mut b, 4, 10), 0);
+        assert_eq!(spine.counter("rrs.capacity_stalls").get(), 1);
+    }
+
+    #[test]
+    fn destination_retries_are_counted_in_the_registry() {
+        // A 16-row bank with 8 hot rows in the tracker and their swaps in
+        // the RIT: most random destination picks collide and are redrawn.
+        let mut b = BankRrs::new(RrsConfig::for_threshold(60, 1_000, 16), 0);
+        let spine = rrs_telemetry::Telemetry::new();
+        b.attach_telemetry(&spine);
+        let mut swaps = 0;
+        for _ in 0..3 {
+            for row in 0..8 {
+                swaps += hammer(&mut b, row, 10);
+            }
         }
-        assert_eq!(b.stats().swaps, 0);
-        assert!(b.stats().capacity_stalls > 0);
-        let counted = spine.counter("rrs.capacity_stalls").get();
-        assert_eq!(counted, b.stats().capacity_stalls);
+        assert!(swaps > 0);
+        assert!(spine.counter("rrs.destination_retries").get() > 0);
     }
 }

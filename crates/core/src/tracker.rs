@@ -253,13 +253,13 @@ pub struct CatTracker {
     /// pick the *same* first-at-minimum set the full scan would.
     min_scan_hint: (usize, usize),
     spill: u64,
-    /// Installs abandoned because both CAT candidate sets were full —
-    /// astronomically rare with the paper's 6 extra ways (Figure 9); the
-    /// tracker degrades to spill-counting instead of failing.
-    conflicts: u64,
     telemetry: Telemetry,
     installs: Counter,
     evicts: Counter,
+    /// Installs abandoned because both CAT candidate sets were full —
+    /// astronomically rare with the paper's 6 extra ways (Figure 9); the
+    /// tracker degrades to spill-counting instead of failing.
+    conflicts: Counter,
     cat_relocations: Counter,
 }
 
@@ -281,17 +281,18 @@ impl CatTracker {
             sets_at_min: 2 * sets,
             min_scan_hint: (0, 0),
             spill: 0,
-            conflicts: 0,
             installs: telemetry.counter("hrt.installs"),
             evicts: telemetry.counter("hrt.evicts"),
+            conflicts: telemetry.counter("hrt.conflicts"),
             cat_relocations: telemetry.counter("cat.relocations"),
             telemetry,
         }
     }
 
-    /// Installs abandoned to CAT conflicts (0 with the paper's sizing).
+    /// Installs abandoned to CAT conflicts (0 with the paper's sizing):
+    /// the `hrt.conflicts` counter.
     pub fn conflicts(&self) -> u64 {
-        self.conflicts
+        self.conflicts.get()
     }
 
     /// The tracker's configuration.
@@ -526,7 +527,7 @@ impl CatTracker {
     /// Absorbs an activation the table could not hold into the spill
     /// counter, which then bounds the row's count from above.
     fn conflict(&mut self, count: u64) {
-        self.conflicts += 1;
+        self.conflicts.inc();
         self.spill = self.spill.max(count);
     }
 
@@ -632,6 +633,7 @@ impl HotRowTracker for CatTracker {
         // shares the same aggregate counters.
         self.installs = telemetry.counter("hrt.installs");
         self.evicts = telemetry.counter("hrt.evicts");
+        self.conflicts = telemetry.counter("hrt.conflicts");
         self.cat_relocations = telemetry.counter("cat.relocations");
         self.telemetry = telemetry.clone();
     }
@@ -981,10 +983,13 @@ mod tests {
             },
             cat_cfg,
         );
+        let spine = Telemetry::new();
+        t.attach_telemetry(&spine);
         for row in 0..500u64 {
             t.record_access(row);
         }
         assert!(t.conflicts() > 0, "0 extra ways must conflict");
+        assert_eq!(spine.counter("hrt.conflicts").get(), t.conflicts());
         // Over-estimation survives: spill bounds every untracked row.
         assert!(t.spill() > 0);
     }

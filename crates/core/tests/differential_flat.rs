@@ -377,8 +377,12 @@ fn memoized_tracker_matches_unmemoized() {
             let [plain, memoized] = &mut trackers;
             assert_eq!(memoized.record_access(row), plain.record_access(row));
             assert_eq!(memoized.spill(), plain.spill());
-            assert_eq!(memoized.conflicts(), plain.conflicts());
-            for name in ["hrt.installs", "hrt.evicts", "cat.relocations"] {
+            for name in [
+                "hrt.installs",
+                "hrt.evicts",
+                "hrt.conflicts",
+                "cat.relocations",
+            ] {
                 assert_eq!(spines[1].counter(name).get(), spines[0].counter(name).get());
             }
             for probe in 0..domain {
@@ -548,6 +552,8 @@ fn tracker_spills_out_of_domain_rows() {
         entries: 16,
         threshold: 4,
     });
+    let spine = Telemetry::new();
+    tracker.attach_telemetry(&spine);
     let row = u64::from(u32::MAX);
     let mut fired = 0;
     for n in 1..=8u64 {
@@ -557,6 +563,7 @@ fn tracker_spills_out_of_domain_rows() {
     }
     assert_eq!(fired, 2);
     assert_eq!(tracker.conflicts(), 8);
+    assert_eq!(spine.counter("hrt.conflicts").get(), 8);
     assert_eq!(tracker.spill(), 8);
     assert!(!tracker.contains(row));
     assert!(tracker.is_empty());
@@ -578,10 +585,11 @@ fn out_of_domain_swaps_stall() {
 
     let config = RrsConfig::for_threshold(60, 1_000, 1_024);
     let mut bank = BankRrs::new(config, 0);
-    for _ in 0..config.t_rrs {
+    let spine = Telemetry::new();
+    bank.attach_telemetry(&spine);
+    for _ in 0..config.t_rrs() {
         bank.on_activation(row, |a| panic!("unexpected {a:?}"));
     }
-    assert_eq!(bank.stats().swaps, 0);
-    assert_eq!(bank.stats().capacity_stalls, 1);
+    assert_eq!(spine.counter("rrs.capacity_stalls").get(), 1);
     assert_eq!(bank.resolve(row), row);
 }

@@ -406,11 +406,10 @@ impl MemoryController {
 
     fn maintain(&mut self) {
         while self.next_refresh <= self.clock || self.next_epoch <= self.clock {
+            // The epoch branch runs only once `next_epoch <= clock`, so
+            // the clock needs no advancing here.
             if self.next_epoch <= self.next_refresh {
-                let at = self.next_epoch;
-                self.clock = self.clock.max(at);
                 self.end_epoch();
-                let _ = at;
             } else {
                 self.do_refresh();
             }
@@ -432,8 +431,9 @@ impl MemoryController {
         self.next_refresh += self.config.timing.t_refi;
     }
 
+    /// Closes the epoch at its scheduled boundary, `next_epoch`.
     fn end_epoch(&mut self) {
-        let at = self.next_epoch.min(self.clock.max(self.next_epoch));
+        let at = self.next_epoch;
         self.metrics.epoch_hot_row_history.push(
             self.hammer
                 .rows_with_activations_at_least(self.config.act_stat_threshold) as u64,

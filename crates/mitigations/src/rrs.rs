@@ -8,7 +8,7 @@
 //! activation, so its swaps scale with total traffic instead of with the
 //! number of genuinely hot rows.
 
-use rrs_core::rrs::{BankRrs, RrsAction, RrsConfig};
+use rrs_core::rrs::{BankRrs, RrsAction, RrsConfig, RIT_LOOKUP_CYCLES};
 use rrs_core::tracker::{CatTracker, HotRowTracker, ProbabilisticTrigger};
 use rrs_dram::geometry::{DramGeometry, RowAddr};
 use rrs_dram::timing::Cycle;
@@ -18,7 +18,6 @@ use rrs_mem_ctrl::mitigation::{Mitigation, MitigationAction};
 /// random swaps, optional detector escalation.
 #[derive(Debug, Clone)]
 pub struct RrsMitigation<T: HotRowTracker = CatTracker> {
-    config: RrsConfig,
     geometry: DramGeometry,
     banks: Vec<BankRrs<T>>,
     name: String,
@@ -29,9 +28,8 @@ impl RrsMitigation {
     /// banks' trackers share one set-index memo.
     pub fn new(config: RrsConfig, geometry: DramGeometry) -> Self {
         RrsMitigation {
-            name: format!("rrs-t{}", config.t_rrs),
+            name: format!("rrs-t{}", config.t_rrs()),
             banks: BankRrs::for_banks(config, geometry.total_banks()),
-            config,
             geometry,
         }
     }
@@ -48,8 +46,8 @@ impl RrsMitigation<ProbabilisticTrigger> {
     /// `T_RRS` activations, and an RIT of `4 × ⌊ACT_max/T_RRS⌋` tuples per
     /// bank for the larger swap volume.
     pub fn probabilistic(mut config: RrsConfig, geometry: DramGeometry) -> Self {
-        config.rit_tuples = 4 * ((config.act_max / config.t_rrs) as usize).max(1);
-        let p = 1.0 / config.t_rrs as f64;
+        config.rit_tuples = 4 * ((config.act_max / config.t_rrs()) as usize).max(1);
+        let p = 1.0 / config.t_rrs() as f64;
         let banks = (0..geometry.total_banks())
             .map(|i| {
                 let seed = config.seed ^ PROB_SEED_TAG ^ ((i as u128) << 32);
@@ -58,7 +56,6 @@ impl RrsMitigation<ProbabilisticTrigger> {
             .collect();
         RrsMitigation {
             name: format!("prob-rrs-p{p:.5}"),
-            config,
             geometry,
             banks,
         }
@@ -86,7 +83,7 @@ impl<T: HotRowTracker> Mitigation for RrsMitigation<T> {
     }
 
     fn access_latency(&self) -> Cycle {
-        self.config.rit_lookup_cycles
+        RIT_LOOKUP_CYCLES
     }
 
     fn on_activation(&mut self, row: RowAddr, _at: Cycle, actions: &mut Vec<MitigationAction>) {
@@ -166,7 +163,7 @@ mod tests {
         assert_ne!(m.resolve(a), a);
         assert_eq!(m.resolve(b), b);
         assert_eq!(swaps_in(&actions), 1);
-        assert_eq!(m.banks()[1].stats().swaps, 0);
+        assert_eq!(m.banks()[1].rit().tuples_in_use(), 0);
     }
 
     #[test]

@@ -2,13 +2,20 @@
 
 use rrs_mem_ctrl::controller::ControllerConfig;
 
+/// Fetch/retire width of every core (Table 2: 4).
+pub const FETCH_WIDTH: u64 = 4;
+
+/// Trace records a core issues back-to-back before other cores
+/// interleave. Models the row-hit batching of real (FR-)FCFS scheduling:
+/// without it, two sequential streams sharing a bank ping-pong the row
+/// buffer on every line, which no real controller allows.
+pub const CORE_BURST: u32 = 16;
+
 /// Full-system configuration for a simulation run.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
     /// Number of cores (Table 2: 8 out-of-order cores).
     pub cores: usize,
-    /// Fetch/retire width (Table 2: 4).
-    pub fetch_width: u32,
     /// Maximum outstanding DRAM reads per core (memory-level parallelism).
     /// The core model has no reorder buffer: this bounded miss window is
     /// what stands in for Table 2's 192-entry ROB.
@@ -17,12 +24,6 @@ pub struct SystemConfig {
     pub controller: ControllerConfig,
     /// Instructions each core must retire for the run to complete.
     pub instructions_per_core: u64,
-    /// Trace records a core issues back-to-back before other cores
-    /// interleave. Models the row-hit batching of real (FR-)FCFS
-    /// scheduling: without it, two sequential streams sharing a bank
-    /// ping-pong the row buffer on every line, which no real controller
-    /// allows.
-    pub core_burst: usize,
 }
 
 impl SystemConfig {
@@ -31,11 +32,9 @@ impl SystemConfig {
     pub fn asplos22_baseline(instructions_per_core: u64) -> Self {
         SystemConfig {
             cores: 8,
-            fetch_width: 4,
             max_outstanding: 10,
             controller: ControllerConfig::asplos22_baseline(),
             instructions_per_core,
-            core_burst: 16,
         }
     }
 
@@ -43,11 +42,9 @@ impl SystemConfig {
     pub fn test_config(instructions_per_core: u64) -> Self {
         SystemConfig {
             cores: 2,
-            fetch_width: 4,
             max_outstanding: 8,
             controller: ControllerConfig::test_config(),
             instructions_per_core,
-            core_burst: 16,
         }
     }
 
@@ -66,7 +63,6 @@ mod tests {
     fn baseline_matches_table2() {
         let c = SystemConfig::asplos22_baseline(1_000_000);
         assert_eq!(c.cores, 8);
-        assert_eq!(c.fetch_width, 4);
         assert_eq!(c.max_outstanding, 10);
         assert_eq!(c.controller.geometry.channels, 2);
     }

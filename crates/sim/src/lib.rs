@@ -14,19 +14,21 @@
 //! # Example
 //!
 //! ```
-//! use rrs_sim::{run, SystemConfig, TraceRecord, TraceSource};
+//! use rrs_sim::{run_probed, SystemConfig, TraceRecord, TraceSource};
 //! use rrs_mem_ctrl::NoMitigation;
+//! use rrs_telemetry::Telemetry;
 //!
 //! let config = SystemConfig::test_config(1_000);
 //! let mk = |base: u64| -> Box<dyn TraceSource> {
 //!     let mut a = base;
 //!     Box::new(move || { a += 64; TraceRecord::read(20, a) })
 //! };
-//! let result = run(
+//! let result = run_probed(
 //!     &config,
 //!     Box::new(NoMitigation::new()),
 //!     vec![mk(0), mk(1 << 24)],
 //!     "quick",
+//!     &Telemetry::new(),
 //! );
 //! assert!(result.aggregate_ipc() > 0.0);
 //! ```
@@ -36,5 +38,5 @@ pub mod runner;
 pub mod trace;
 
 pub use config::SystemConfig;
-pub use runner::{run, run_probed, SimResult};
+pub use runner::{run_probed, SimResult};
 pub use trace::{TraceRecord, TraceSource};

@@ -18,7 +18,7 @@ use rrs_mem_ctrl::controller::{ControllerStats, MemoryController};
 use rrs_mem_ctrl::mitigation::Mitigation;
 use rrs_telemetry::{HistogramSnapshot, Telemetry};
 
-use crate::config::SystemConfig;
+use crate::config::{SystemConfig, CORE_BURST, FETCH_WIDTH};
 use crate::trace::TraceSource;
 
 /// Results of one simulation run.
@@ -175,31 +175,10 @@ struct CoreState {
     finish_time: Option<Cycle>,
 }
 
-/// Runs one simulation: `sources[i]` drives core `i`.
-///
-/// Equivalent to [`run_probed`] with a fresh, disabled telemetry spine:
-/// all accounting still flows through registry counters, but no events
-/// are recorded.
-///
-/// # Panics
-///
-/// Panics if `sources.len()` differs from `config.cores`.
-pub fn run(
-    config: &SystemConfig,
-    mitigation: Box<dyn Mitigation>,
-    sources: Vec<Box<dyn TraceSource + '_>>,
-    workload_name: &str,
-) -> SimResult {
-    run_probed(
-        config,
-        mitigation,
-        sources,
-        workload_name,
-        &Telemetry::new(),
-    )
-}
-
-/// Runs one simulation with every layer publishing onto `telemetry`.
+/// Runs one simulation, `sources[i]` driving core `i`, with every layer
+/// publishing onto `telemetry` (pass `&Telemetry::new()` for a disabled
+/// spine: all accounting still flows through registry counters, but no
+/// events are recorded).
 ///
 /// The controller, scheduler-equivalent access path and the runner's own
 /// read-latency histogram all register on the shared spine; when the
@@ -208,8 +187,8 @@ pub fn run(
 /// caller keeps the handle, so after this returns it can export
 /// `telemetry.snapshot_json()` or `telemetry.trace_jsonl()`.
 ///
-/// The returned [`SimResult`] is byte-identical to [`run`]'s for the same
-/// inputs regardless of tracing state — observation must not perturb the
+/// The returned [`SimResult`] is byte-identical for the same inputs
+/// regardless of tracing state — observation must not perturb the
 /// experiment.
 ///
 /// # Panics
@@ -245,7 +224,6 @@ pub fn run_probed(
         (0..config.cores).map(|i| Reverse((0, i))).collect();
     let read_latency = telemetry.histogram("sim.read_latency");
 
-    let burst = config.core_burst.max(1);
     while let Some(Reverse((_, cid))) = heap.pop() {
         // The heap only ever holds core ids `< config.cores`, which both
         // vectors were sized from.
@@ -253,11 +231,11 @@ pub fn run_probed(
             continue;
         };
         let mut finished = false;
-        for _ in 0..burst {
+        for _ in 0..CORE_BURST {
             let rec = source.next_record();
 
             // Retire the gap at fetch width.
-            core.time += (rec.gap as u64).div_ceil(config.fetch_width as u64);
+            core.time += (rec.gap as u64).div_ceil(FETCH_WIDTH);
 
             // Traces are post-LLC: every record is one DRAM access.
             let done = mc.access(rec.addr, rec.is_write, core.time);
@@ -325,6 +303,16 @@ mod tests {
     use crate::trace::TraceRecord;
     use rrs_mem_ctrl::mitigation::NoMitigation;
 
+    /// Runs `sources` without a mitigation on a disabled spine.
+    fn run_unmitigated(
+        config: &SystemConfig,
+        sources: Vec<Box<dyn TraceSource>>,
+        name: &str,
+    ) -> SimResult {
+        let mitigation = Box::new(NoMitigation::new());
+        run_probed(config, mitigation, sources, name, &Telemetry::new())
+    }
+
     fn stream_source(stride: u64, start: u64) -> Box<dyn TraceSource> {
         let mut addr = start;
         Box::new(move || {
@@ -337,7 +325,7 @@ mod tests {
     fn run_completes_and_reports_ipc() {
         let config = SystemConfig::test_config(10_000);
         let sources = vec![stream_source(64, 0), stream_source(64, 1 << 24)];
-        let r = run(&config, Box::new(NoMitigation::new()), sources, "stream");
+        let r = run_unmitigated(&config, sources, "stream");
         assert_eq!(r.core_ipc.len(), 2);
         assert!(r.total_instructions >= 20_000);
         assert!(r.aggregate_ipc() > 0.1, "ipc = {}", r.aggregate_ipc());
@@ -362,12 +350,7 @@ mod tests {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
             TraceRecord::read(0, x % (1 << 23))
         }) as Box<dyn TraceSource>;
-        let r = run(
-            &config,
-            Box::new(NoMitigation::new()),
-            vec![compute, memory],
-            "mixed",
-        );
+        let r = run_unmitigated(&config, vec![compute, memory], "mixed");
         assert!(
             r.core_ipc[0] > r.core_ipc[1],
             "compute {} vs memory {}",
@@ -380,7 +363,7 @@ mod tests {
     fn partial_epoch_is_flushed_into_history() {
         let config = SystemConfig::test_config(2_000);
         let sources = vec![stream_source(64, 0), stream_source(64, 1 << 24)];
-        let r = run(&config, Box::new(NoMitigation::new()), sources, "x");
+        let r = run_unmitigated(&config, sources, "x");
         assert!(!r.stats.epoch_swap_history.is_empty());
     }
 
@@ -388,8 +371,8 @@ mod tests {
     fn multiprogram_metrics_against_self_are_ideal() {
         let config = SystemConfig::test_config(3_000);
         let mk = || vec![stream_source(64, 0), stream_source(64, 1 << 24)];
-        let a = run(&config, Box::new(NoMitigation::new()), mk(), "a");
-        let b = run(&config, Box::new(NoMitigation::new()), mk(), "b");
+        let a = run_unmitigated(&config, mk(), "a");
+        let b = run_unmitigated(&config, mk(), "b");
         assert!((a.weighted_speedup(&b).unwrap() - 2.0).abs() < 1e-9);
         assert!((a.fairness(&b).unwrap() - 1.0).abs() < 1e-9);
     }
@@ -398,7 +381,7 @@ mod tests {
     fn mismatched_core_counts_yield_none() {
         let config = SystemConfig::test_config(3_000);
         let sources = vec![stream_source(64, 0), stream_source(64, 1 << 24)];
-        let two_core = run(&config, Box::new(NoMitigation::new()), sources, "two");
+        let two_core = run_unmitigated(&config, sources, "two");
         let no_core = empty_result();
         assert_eq!(two_core.weighted_speedup(&no_core), None);
         assert_eq!(two_core.fairness(&no_core), None);
@@ -410,7 +393,7 @@ mod tests {
     fn fairness_detects_a_starved_core() {
         let config = SystemConfig::test_config(3_000);
         let fast = vec![stream_source(64, 0), stream_source(64, 1 << 24)];
-        let base = run(&config, Box::new(NoMitigation::new()), fast, "base");
+        let base = run_unmitigated(&config, fast, "base");
         // Second core runs a pathological random row-miss stream.
         let mut x = 7u64;
         let slow: Vec<Box<dyn TraceSource>> = vec![
@@ -420,7 +403,7 @@ mod tests {
                 TraceRecord::read(0, x % (1 << 23))
             }),
         ];
-        let skewed = run(&config, Box::new(NoMitigation::new()), slow, "skewed");
+        let skewed = run_unmitigated(&config, slow, "skewed");
         let fairness = skewed.fairness(&base).unwrap();
         assert!(fairness < 0.8, "fairness = {fairness}");
         assert!(skewed.weighted_speedup(&base).unwrap() < 2.0);
@@ -430,7 +413,7 @@ mod tests {
     #[should_panic(expected = "one trace source per core")]
     fn wrong_source_count_panics() {
         let config = SystemConfig::test_config(100);
-        run(&config, Box::new(NoMitigation::new()), vec![], "bad");
+        run_unmitigated(&config, vec![], "bad");
     }
 
     fn empty_result() -> SimResult {
@@ -462,7 +445,7 @@ mod tests {
     fn normalized_to_zero_cycle_baseline_is_zero() {
         let config = SystemConfig::test_config(1_000);
         let sources = vec![stream_source(64, 0), stream_source(64, 1 << 24)];
-        let real = run(&config, Box::new(NoMitigation::new()), sources, "real");
+        let real = run_unmitigated(&config, sources, "real");
         assert!(real.aggregate_ipc() > 0.0);
         // A degenerate baseline (zero cycles => zero IPC) must not divide
         // by zero or return infinity.
@@ -477,7 +460,7 @@ mod tests {
         use rrs_json::{FromJson, Json, ToJson};
         let config = SystemConfig::test_config(2_000);
         let sources = vec![stream_source(64, 0), stream_source(64, 1 << 24)];
-        let r = run(&config, Box::new(NoMitigation::new()), sources, "json");
+        let r = run_unmitigated(&config, sources, "json");
         let text = r.to_json().to_string_pretty();
         let back = SimResult::from_json(&Json::parse(&text).unwrap()).unwrap();
         assert_eq!(back.workload, r.workload);

@@ -4,10 +4,10 @@
 
 use rrs_check::check;
 use rrs_mem_ctrl::mitigation::NoMitigation;
-use rrs_sim::config::SystemConfig;
-use rrs_sim::runner::run;
+use rrs_sim::config::{SystemConfig, FETCH_WIDTH};
+use rrs_sim::runner::run_probed;
 use rrs_sim::trace::{TraceRecord, TraceSource};
-use rrs_telemetry::{Histogram, HistogramSnapshot};
+use rrs_telemetry::{Histogram, HistogramSnapshot, Telemetry};
 
 /// The snapshot of a registry histogram fed `samples`.
 fn recorded(samples: &[u64]) -> HistogramSnapshot {
@@ -41,17 +41,19 @@ fn runner_is_deterministic() {
                 .collect()
         };
         let config = SystemConfig::test_config(instr);
-        let a = run(
+        let a = run_probed(
             &config,
             Box::new(NoMitigation::new()),
             make_sources(seed),
             "a",
+            &Telemetry::new(),
         );
-        let b = run(
+        let b = run_probed(
             &config,
             Box::new(NoMitigation::new()),
             make_sources(seed),
             "b",
+            &Telemetry::new(),
         );
         assert_eq!(a.cycles, b.cycles);
         assert_eq!(a.core_ipc, b.core_ipc);
@@ -121,10 +123,11 @@ fn runner_instruction_accounting() {
                 }) as Box<dyn TraceSource>
             })
             .collect();
-        let r = run(&config, Box::new(NoMitigation::new()), sources, "acct");
+        let mitigation = Box::new(NoMitigation::new());
+        let r = run_probed(&config, mitigation, sources, "acct", &Telemetry::new());
         assert!(r.total_instructions >= 2 * instr);
         for ipc in &r.core_ipc {
-            assert!(*ipc <= config.fetch_width as f64 + 1e-9);
+            assert!(*ipc <= FETCH_WIDTH as f64 + 1e-9);
         }
     });
 }

@@ -3,16 +3,16 @@
 
 use rrs_mem_ctrl::mitigation::NoMitigation;
 use rrs_sim::config::SystemConfig;
-use rrs_sim::runner::run;
+use rrs_sim::runner::run_probed;
 use rrs_sim::trace::TraceSource;
+use rrs_telemetry::Telemetry;
 use rrs_trace::{capture, read_records, write_records, ReplaySource, TraceFormat};
 use rrs_workloads::catalog::spec_by_name;
-use rrs_workloads::generator::{GenParams, SyntheticWorkload};
+use rrs_workloads::generator::SyntheticWorkload;
 
 fn generator(core: usize, config: &SystemConfig) -> SyntheticWorkload {
-    let mapper = rrs_mem_ctrl::mapping::AddressMapper::new(config.controller.geometry);
     let spec = spec_by_name("gcc").expect("catalog");
-    SyntheticWorkload::new(&spec, core, GenParams::from_system(config), &mapper, 77)
+    SyntheticWorkload::new(&spec, core, config, 77)
 }
 
 #[test]
@@ -31,8 +31,9 @@ fn captured_replay_matches_live_run() {
         .map(|r| Box::new(ReplaySource::new(r.clone(), "replay")) as Box<dyn TraceSource>)
         .collect();
 
-    let a = run(&config, Box::new(NoMitigation::new()), live, "live");
-    let b = run(&config, Box::new(NoMitigation::new()), replayed, "replay");
+    let none = || Box::new(NoMitigation::new());
+    let a = run_probed(&config, none(), live, "live", &Telemetry::new());
+    let b = run_probed(&config, none(), replayed, "replay", &Telemetry::new());
     assert_eq!(a.cycles, b.cycles);
     assert_eq!(a.stats.activations, b.stats.activations);
     assert_eq!(a.stats.row_hits, b.stats.row_hits);

@@ -20,42 +20,15 @@
 use rrs_core::rng::DetRng;
 use rrs_dram::geometry::RowAddr;
 use rrs_mem_ctrl::mapping::{AddressMapper, DecodedAddr};
-use rrs_sim::config::SystemConfig;
+use rrs_sim::config::{SystemConfig, CORE_BURST};
 use rrs_sim::trace::{TraceRecord, TraceSource};
 
 use crate::catalog::WorkloadSpec;
 
-/// Calibration context shared by all generators of a run.
-#[derive(Debug, Clone, Copy)]
-pub struct GenParams {
-    /// Epoch length in CPU cycles (the tracking window).
-    pub epoch_cycles: u64,
-    /// Cores sharing the machine (hot rows are split across cores).
-    pub cores: usize,
-    /// Assumed IPC for converting instruction budgets to wall-clock —
-    /// feedback-free first-order calibration (measured values are reported
-    /// by the Table 3 harness).
-    pub assumed_ipc: f64,
-    /// Per-epoch activation count a "hot" row must exceed (the controller's
-    /// ACT-800+ statistic threshold; scale together with the epoch).
-    pub hot_act_threshold: u64,
-    /// The simulator's core burst length (records served back-to-back per
-    /// core); bounds worst-case activations per sequential row visit.
-    pub core_burst: usize,
-}
-
-impl GenParams {
-    /// Derives calibration parameters from a system configuration.
-    pub fn from_system(config: &SystemConfig) -> Self {
-        GenParams {
-            epoch_cycles: config.controller.timing.epoch,
-            cores: config.cores,
-            assumed_ipc: 2.5,
-            hot_act_threshold: config.controller.act_stat_threshold,
-            core_burst: config.core_burst,
-        }
-    }
-}
+/// Assumed IPC for converting instruction budgets to wall-clock —
+/// feedback-free first-order calibration (measured values are reported by
+/// the Table 3 harness).
+const ASSUMED_IPC: f64 = 2.5;
 
 /// A deterministic synthetic trace source for one core.
 #[derive(Debug, Clone)]
@@ -94,15 +67,16 @@ pub struct SyntheticWorkload {
 }
 
 impl SyntheticWorkload {
-    /// Builds the generator for `core` of a rate-mode run of `spec`.
-    pub fn new(
-        spec: &WorkloadSpec,
-        core: usize,
-        params: GenParams,
-        mapper: &AddressMapper,
-        seed: u64,
-    ) -> Self {
-        let geometry = *mapper.geometry();
+    /// Builds the generator for `core` of a rate-mode run of `spec` on
+    /// `config`'s machine. The calibration reads the epoch length (the
+    /// tracking window), the core count (hot rows are split across cores)
+    /// and the controller's ACT-800+ statistic threshold, the per-epoch
+    /// activation count a "hot" row must exceed.
+    pub fn new(spec: &WorkloadSpec, core: usize, config: &SystemConfig, seed: u64) -> Self {
+        let geometry = config.controller.geometry;
+        let mapper = AddressMapper::new(geometry);
+        let epoch_cycles = config.controller.timing.epoch;
+        let hot_act_threshold = config.controller.act_stat_threshold;
         let total_rows = mapper.total_rows();
         let region_rows =
             (spec.footprint_bytes / geometry.row_size_bytes as u64).clamp(8, total_rows);
@@ -112,7 +86,7 @@ impl SyntheticWorkload {
         // 32 GB machine would (mcf × 8 copies exceeds memory in the paper's
         // setup too).
         let region_row_base =
-            (core as u64 * (total_rows / params.cores.max(1) as u64)) % total_rows;
+            (core as u64 * (total_rows / config.cores.max(1) as u64)) % total_rows;
 
         // Hot rows: split across cores, assigned to banks in pairs so that
         // round-robin visits always miss the row buffer (see module docs).
@@ -121,7 +95,7 @@ impl SyntheticWorkload {
         let per_core_hot = if spec.hot_rows == 0 {
             0
         } else {
-            (spec.hot_rows as usize).div_ceil(params.cores)
+            (spec.hot_rows as usize).div_ceil(config.cores)
         };
         let banks = geometry.banks_per_rank;
         let channels = geometry.channels;
@@ -143,9 +117,9 @@ impl SyntheticWorkload {
         // workloads retire fewer instructions per epoch — fitted to the
         // simulator's measured per-core IPC curve (peak ≈ 1.2 × the
         // nominal IPC at MPKI → 0, roll-off constant ≈ 7 MPKI).
-        let effective_ipc = 1.2 * params.assumed_ipc / (1.0 + spec.mpki / 7.0);
-        let accesses_per_epoch = (spec.mpki / 1000.0) * effective_ipc * params.epoch_cycles as f64;
-        let hot_target = per_core_hot as f64 * params.hot_act_threshold as f64 * 1.3;
+        let effective_ipc = 1.2 * ASSUMED_IPC / (1.0 + spec.mpki / 7.0);
+        let accesses_per_epoch = (spec.mpki / 1000.0) * effective_ipc * epoch_cycles as f64;
+        let hot_target = per_core_hot as f64 * hot_act_threshold as f64 * 1.3;
         let hot_fraction = if per_core_hot == 0 || accesses_per_epoch <= 0.0 {
             0.0
         } else {
@@ -167,7 +141,7 @@ impl SyntheticWorkload {
         //   back-to-back, so a visit costs only one or two activations even
         //   when other cores share the bank — keeping swept rows far below
         //   the threshold, as real streaming does at full scale.
-        let t = params.hot_act_threshold.max(1) as f64;
+        let t = hot_act_threshold.max(1) as f64;
         let t_noise = (t / 2.0).max(1.0);
         let lambda_max =
             (t_noise / std::f64::consts::E) * (region_rows as f64).powf(-1.0 / t_noise);
@@ -182,7 +156,7 @@ impl SyntheticWorkload {
         // below the threshold — while per-row visit *rates* scale with the
         // epoch like real streaming (at full scale this is whole-row
         // 128-line streaming).
-        let seq_lines_per_visit = (params.core_burst as u32 * ((t / 4.0) as u32).max(1))
+        let seq_lines_per_visit = (CORE_BURST * ((t / 4.0) as u32).max(1))
             .clamp(1, (geometry.row_size_bytes / 64) as u32);
 
         SyntheticWorkload {
@@ -194,7 +168,7 @@ impl SyntheticWorkload {
             hot_fraction,
             hot_accumulator: 0.0,
             hot_cursor: 0,
-            mapper: *mapper,
+            mapper,
             region_row_base,
             region_rows,
             cold_random_fraction,
@@ -304,13 +278,10 @@ pub fn sources_for_workload(
     config: &SystemConfig,
     seed: u64,
 ) -> Vec<Box<dyn TraceSource>> {
-    let mapper = AddressMapper::new(config.controller.geometry);
-    let params = GenParams::from_system(config);
     match workload {
         crate::catalog::Workload::Single(spec) => (0..config.cores)
             .map(|c| {
-                Box::new(SyntheticWorkload::new(spec, c, params, &mapper, seed))
-                    as Box<dyn TraceSource>
+                Box::new(SyntheticWorkload::new(spec, c, config, seed)) as Box<dyn TraceSource>
             })
             .collect(),
         crate::catalog::Workload::Mix(mix) => (0..config.cores)
@@ -318,8 +289,7 @@ pub fn sources_for_workload(
                 let name = mix.members[c % mix.members.len()];
                 let spec = crate::catalog::spec_by_name(name)
                     .unwrap_or_else(|| panic!("unknown mix member {name}"));
-                Box::new(SyntheticWorkload::new(&spec, c, params, &mapper, seed))
-                    as Box<dyn TraceSource>
+                Box::new(SyntheticWorkload::new(&spec, c, config, seed)) as Box<dyn TraceSource>
             })
             .collect(),
     }
@@ -339,21 +309,16 @@ mod tests {
         AddressMapper::new(DramGeometry::asplos22_baseline())
     }
 
-    fn params() -> GenParams {
-        GenParams {
-            epoch_cycles: 204_800_000,
-            cores: 8,
-            assumed_ipc: 2.5,
-            hot_act_threshold: 800,
-            core_burst: 16,
-        }
+    /// The paper's machine: 8 cores, 64 ms epochs, ACT-800+ hot rows.
+    fn params() -> SystemConfig {
+        SystemConfig::asplos22_baseline(0)
     }
 
     #[test]
     fn generator_is_deterministic() {
         let spec = spec_by_name("bzip2").unwrap();
-        let mut a = SyntheticWorkload::new(&spec, 0, params(), &mapper(), 42);
-        let mut b = SyntheticWorkload::new(&spec, 0, params(), &mapper(), 42);
+        let mut a = SyntheticWorkload::new(&spec, 0, &params(), 42);
+        let mut b = SyntheticWorkload::new(&spec, 0, &params(), 42);
         for _ in 0..100 {
             assert_eq!(a.next_record(), b.next_record());
         }
@@ -362,8 +327,8 @@ mod tests {
     #[test]
     fn different_cores_use_disjoint_hot_rows() {
         let spec = spec_by_name("hmmer").unwrap();
-        let a = SyntheticWorkload::new(&spec, 0, params(), &mapper(), 1);
-        let b = SyntheticWorkload::new(&spec, 1, params(), &mapper(), 1);
+        let a = SyntheticWorkload::new(&spec, 0, &params(), 1);
+        let b = SyntheticWorkload::new(&spec, 1, &params(), 1);
         for ra in &a.hot_rows {
             assert!(!b.hot_rows.contains(ra), "hot rows overlap across cores");
         }
@@ -372,7 +337,7 @@ mod tests {
     #[test]
     fn gap_distribution_matches_mpki() {
         let spec = spec_by_name("gcc").unwrap(); // MPKI 4.42
-        let mut g = SyntheticWorkload::new(&spec, 0, params(), &mapper(), 7);
+        let mut g = SyntheticWorkload::new(&spec, 0, &params(), 7);
         let n = 20_000;
         let total_instr: u64 = (0..n).map(|_| g.next_record().instructions()).sum();
         let measured_mpki = n as f64 / (total_instr as f64 / 1000.0);
@@ -385,7 +350,7 @@ mod tests {
     #[test]
     fn hot_workload_concentrates_traffic() {
         let spec = spec_by_name("hmmer").unwrap();
-        let g = SyntheticWorkload::new(&spec, 0, params(), &mapper(), 7);
+        let g = SyntheticWorkload::new(&spec, 0, &params(), 7);
         assert!(
             g.hot_fraction() > 0.1,
             "hot fraction = {}",
@@ -397,7 +362,7 @@ mod tests {
     #[test]
     fn cold_workload_has_no_hot_traffic() {
         let spec = spec_by_name("lbm").unwrap();
-        let g = SyntheticWorkload::new(&spec, 0, params(), &mapper(), 7);
+        let g = SyntheticWorkload::new(&spec, 0, &params(), 7);
         assert_eq!(g.hot_fraction(), 0.0);
         assert_eq!(g.hot_row_count(), 0);
     }
@@ -405,7 +370,7 @@ mod tests {
     #[test]
     fn addresses_stay_in_bounds() {
         let spec = spec_by_name("mcf").unwrap(); // 7.71 GB footprint
-        let mut g = SyntheticWorkload::new(&spec, 7, params(), &mapper(), 9);
+        let mut g = SyntheticWorkload::new(&spec, 7, &params(), 9);
         let cap = DramGeometry::asplos22_baseline().total_bytes();
         for _ in 0..10_000 {
             let r = g.next_record();
@@ -418,7 +383,7 @@ mod tests {
         // The pairing property: the two hot rows mapped to the same bank are
         // adjacent in the visiting order, so revisits always miss.
         let spec = spec_by_name("hmmer").unwrap();
-        let g = SyntheticWorkload::new(&spec, 0, params(), &mapper(), 7);
+        let g = SyntheticWorkload::new(&spec, 0, &params(), 7);
         let (d0, d1) = (g.hot_rows[0], g.hot_rows[1]);
         assert_eq!(d0.bank, d1.bank);
         assert_eq!(d0.channel, d1.channel);
@@ -428,7 +393,7 @@ mod tests {
     #[test]
     fn hot_rows_are_unique_physical_rows() {
         let spec = spec_by_name("hmmer").unwrap();
-        let g = SyntheticWorkload::new(&spec, 0, params(), &mapper(), 7);
+        let g = SyntheticWorkload::new(&spec, 0, &params(), 7);
         let mut rows = g.hot_rows.clone();
         rows.sort();
         let before = rows.len();
@@ -442,7 +407,7 @@ mod tests {
         // adding `col * 64` to a row base address toggles the *channel*
         // bit and collides distinct hot rows onto one physical row.
         let spec = spec_by_name("hmmer").unwrap();
-        let mut g = SyntheticWorkload::new(&spec, 0, params(), &mapper(), 7);
+        let mut g = SyntheticWorkload::new(&spec, 0, &params(), 7);
         let hot: std::collections::HashSet<_> = g.hot_rows.iter().copied().collect();
         let m = mapper();
         let mut per_row: std::collections::HashMap<_, u32> = Default::default();

@@ -27,5 +27,5 @@ pub use catalog::{
     all_workloads, spec_by_name, table3_workloads, MixSpec, Suite, Workload, WorkloadSpec, COLD,
     MIXES, TABLE3,
 };
-pub use generator::{sources_for_workload, GenParams, SyntheticWorkload};
+pub use generator::{sources_for_workload, SyntheticWorkload};
 pub use specfile::{load_specs, parse_specs, SpecFileError};

@@ -182,23 +182,18 @@ mpki 22
 
     #[test]
     fn loaded_specs_drive_the_generator() {
-        use crate::generator::{GenParams, SyntheticWorkload};
-        use rrs_mem_ctrl::mapping::AddressMapper;
+        use crate::generator::SyntheticWorkload;
         use rrs_sim::trace::TraceSource;
 
         let specs = parse_specs(SAMPLE).unwrap();
-        let mapper = AddressMapper::new(rrs_dram::geometry::DramGeometry::asplos22_baseline());
-        let params = GenParams {
-            epoch_cycles: 2_048_000,
-            cores: 8,
-            assumed_ipc: 2.5,
-            hot_act_threshold: 8,
-            core_burst: 16,
-        };
-        let mut g = SyntheticWorkload::new(&specs[0], 0, params, &mapper, 1);
+        // The paper's machine with a 1/100-scaled epoch and hot threshold.
+        let mut config = rrs_sim::SystemConfig::asplos22_baseline(0);
+        config.controller.timing.epoch = 2_048_000;
+        config.controller.act_stat_threshold = 8;
+        let mut g = SyntheticWorkload::new(&specs[0], 0, &config, 1);
         for _ in 0..100 {
             let r = g.next_record();
-            assert!(r.addr < mapper.address_space());
+            assert!(r.addr < config.controller.geometry.total_bytes());
         }
     }
 

@@ -7,9 +7,10 @@
 //! Run with: `cargo run --release --example custom_workload`
 
 use rrs::experiments::{ExperimentConfig, MitigationKind};
-use rrs::sim::TraceSource;
+use rrs::sim::{run_probed, TraceSource};
+use rrs::telemetry::Telemetry;
 use rrs::workloads::catalog::Workload;
-use rrs::workloads::generator::{GenParams, SyntheticWorkload};
+use rrs::workloads::generator::SyntheticWorkload;
 
 const SPEC: &str = "\
 # A pointer-chasing kernel with a small hot index structure.
@@ -56,9 +57,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 3. Capture one core's trace and save it in both formats.
     let sys = cfg.system_config();
-    let mapper = rrs::mem_ctrl::mapping::AddressMapper::new(sys.controller.geometry);
-    let mut generator =
-        SyntheticWorkload::new(&spec, 0, GenParams::from_system(&sys), &mapper, cfg.seed);
+    let mut generator = SyntheticWorkload::new(&spec, 0, &sys, cfg.seed);
     let records = rrs_trace_capture(&mut generator, 50_000);
     let dir = std::env::temp_dir().join("rrs_custom_workload");
     std::fs::create_dir_all(&dir)?;
@@ -75,19 +74,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut live_sys = sys.clone();
     live_sys.cores = 1;
     live_sys.instructions_per_core = 200_000;
-    let live = rrs::sim::run(
+    // The generator is calibrated for the full machine (`sys`), as the
+    // captured trace was.
+    let live = run_probed(
         &live_sys,
         cfg.build_mitigation(MitigationKind::Rrs),
-        vec![Box::new(SyntheticWorkload::new(
-            &spec,
-            0,
-            GenParams::from_system(&sys),
-            &mapper,
-            cfg.seed,
-        ))],
+        vec![Box::new(SyntheticWorkload::new(&spec, 0, &sys, cfg.seed))],
         "live",
+        &Telemetry::new(),
     );
-    let replayed = rrs::sim::run(
+    let replayed = run_probed(
         &live_sys,
         cfg.build_mitigation(MitigationKind::Rrs),
         vec![Box::new(rrs_trace::ReplaySource::new(
@@ -95,6 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "replay",
         ))],
         "replay",
+        &Telemetry::new(),
     );
     println!(
         "replay check: live {} cycles vs replayed {} cycles ({})",

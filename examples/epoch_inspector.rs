@@ -8,6 +8,34 @@
 
 use rrs::core::detector::DetectorConfig;
 use rrs::core::rrs::{BankRrs, RrsAction, RrsConfig};
+use rrs::telemetry::Telemetry;
+
+/// The swaps and unswaps the bank emitted: in a full simulation the memory
+/// controller executes these actions and counts them.
+#[derive(Default)]
+struct Ledger {
+    swaps: u64,
+    epoch_swaps: u64,
+    unswaps: u64,
+}
+
+impl Ledger {
+    fn record(&mut self, action: RrsAction) {
+        match action {
+            RrsAction::Swap(_) => {
+                self.swaps += 1;
+                self.epoch_swaps += 1;
+            }
+            RrsAction::Unswap(_) => self.unswaps += 1,
+            RrsAction::Alarm { .. } => {}
+        }
+    }
+
+    /// Closes the epoch; returns the swaps it performed.
+    fn end_epoch(&mut self) -> u64 {
+        std::mem::take(&mut self.epoch_swaps)
+    }
+}
 
 fn main() {
     let mut config = RrsConfig::for_threshold(60, 2_000, 4_096).with_detector(DetectorConfig {
@@ -18,36 +46,42 @@ fn main() {
     println!("== Epoch inspector ==");
     println!(
         "T_RRS = {}, tracker entries = {}, RIT tuples = {}, detector alarms at {} same-row swaps/epoch",
-        config.t_rrs,
-        config.tracker_entries,
+        config.t_rrs(),
+        config.tracker_entries(),
         config.rit_tuples,
         config.detector.unwrap().swaps_per_row_alarm
     );
 
     let mut bank = BankRrs::new(config, 0);
+    // Destination retries are a registry counter of the bank.
+    let spine = Telemetry::new();
+    bank.attach_telemetry(&spine);
+    let mut ledger = Ledger::default();
 
     // Phase 1: benign-ish traffic — a few warm rows, below the threshold.
     println!("\n-- epoch 0: benign traffic (rows 10..20, 8 ACTs each) --");
     for row in 10..20u64 {
         for _ in 0..8 {
-            bank.on_activation(row, |_| {});
+            bank.on_activation(row, |a| ledger.record(a));
         }
     }
-    report(&bank, "after benign traffic");
-    let swaps = bank.end_epoch();
+    report(&bank, &ledger, &spine, "after benign traffic");
+    bank.end_epoch();
+    let swaps = ledger.end_epoch();
     println!("  epoch 0 closed: {swaps} swaps, locks cleared");
 
     // Phase 2: one hot row — swaps accumulate, mapping persists.
     println!("\n-- epoch 1: one hot row (row 42, 35 ACTs) --");
     for _ in 0..35 {
-        bank.on_activation(42, |_| {});
+        bank.on_activation(42, |a| ledger.record(a));
     }
-    report(&bank, "after hot row");
+    report(&bank, &ledger, &spine, "after hot row");
     println!(
         "  row 42 now resolves to physical {} (was 42)",
         bank.resolve(42)
     );
-    let swaps = bank.end_epoch();
+    bank.end_epoch();
+    let swaps = ledger.end_epoch();
     println!("  epoch 1 closed: {swaps} swaps; mapping persists (lazy drain)");
     println!("  row 42 still resolves to {}", bank.resolve(42));
 
@@ -61,34 +95,35 @@ fn main() {
                 alarms += 1;
                 println!("  !! detector alarm: row {row} swapped repeatedly this epoch");
             }
+            ledger.record(action);
         });
     }
-    report(&bank, "after attack burst");
+    report(&bank, &ledger, &spine, "after attack burst");
     println!("  alarms raised: {alarms} (escalation: preemptive full-memory refresh)");
 
     // Phase 4: RIT drains lazily under fresh traffic.
     println!("\n-- epoch 3: fresh traffic forces lazy drain --");
     bank.end_epoch();
+    ledger.end_epoch();
     let before = bank.rit().tuples_in_use();
     for row in 100..140u64 {
         for _ in 0..10 {
-            bank.on_activation(row, |_| {});
+            bank.on_activation(row, |a| ledger.record(a));
         }
     }
     let after = bank.rit().tuples_in_use();
     println!("  RIT tuples: {before} -> {after} (evictions un-swap old epochs' rows)");
-    println!("  unswaps so far: {}", bank.stats().unswaps);
+    println!("  unswaps so far: {}", ledger.unswaps);
 }
 
-fn report(bank: &BankRrs, label: &str) {
+fn report(bank: &BankRrs, ledger: &Ledger, spine: &Telemetry, label: &str) {
     use rrs::core::tracker::HotRowTracker;
-    let s = bank.stats();
     println!(
         "  [{label}] tracker rows: {}, RIT tuples: {} (locked {}), swaps: {}, retries: {}",
         bank.tracker().len(),
         bank.rit().tuples_in_use(),
         bank.rit().locked_count(),
-        s.swaps,
-        s.destination_retries,
+        ledger.swaps,
+        spine.counter("rrs.destination_retries").get(),
     );
 }

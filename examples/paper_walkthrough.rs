@@ -101,7 +101,7 @@ fn figure2_flow() {
     for i in 1..=10 {
         bank.on_activation(row, |action| {
             if let RrsAction::Swap(ps) = action {
-                println!("  ④ HRT: activation #{i} crossed T_RRS={}", config.t_rrs);
+                println!("  ④ HRT: activation #{i} crossed T_RRS={}", config.t_rrs());
                 println!(
                     "  ⑤ PRNG destination chosen; physical {} <-> {}",
                     ps.row_a, ps.row_b

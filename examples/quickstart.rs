@@ -16,11 +16,16 @@ fn main() {
     println!("== Randomized Row-Swap quickstart ==");
     println!(
         "design point: T_RH = {}, T_RRS = {}, tracker entries = {}, RIT tuples = {}",
-        config.t_rh, config.t_rrs, config.tracker_entries, config.rit_tuples
+        config.t_rh,
+        config.t_rrs(),
+        config.tracker_entries(),
+        config.rit_tuples
     );
 
     let mut bank = BankRrs::new(config, 0);
     let aggressor = 7u64;
+    // The engine emits swap actions; whoever executes them counts them.
+    let mut swaps = 0;
 
     println!("\nhammering logical row {aggressor}:");
     for act in 1..=30u64 {
@@ -28,11 +33,14 @@ fn main() {
         bank.on_activation(aggressor, |action| {
             quiet = false;
             match action {
-                RrsAction::Swap(ps) => println!(
-                    "  ACT #{act:>2}: tracker hit a multiple of T_RRS -> swapped \
+                RrsAction::Swap(ps) => {
+                    swaps += 1;
+                    println!(
+                        "  ACT #{act:>2}: tracker hit a multiple of T_RRS -> swapped \
                      physical rows {} <-> {}",
-                    ps.row_a, ps.row_b
-                ),
+                        ps.row_a, ps.row_b
+                    );
+                }
                 RrsAction::Unswap(ps) => println!(
                     "  ACT #{act:>2}: RIT eviction -> un-swapped {} <-> {}",
                     ps.row_a, ps.row_b
@@ -49,9 +57,8 @@ fn main() {
         }
     }
 
-    let stats = bank.stats();
     println!("\nafter 30 activations:");
-    println!("  swaps performed        : {}", stats.swaps);
+    println!("  swaps performed        : {swaps}");
     println!("  resolved location of 7 : {}", bank.resolve(aggressor));
     println!("  RIT tuples in use      : {}", bank.rit().tuples_in_use());
     println!(
@@ -60,8 +67,8 @@ fn main() {
     );
 
     println!("\nending the epoch (tracker reset, RIT locks cleared)...");
-    let epoch_swaps = bank.end_epoch();
-    println!("  swaps in the epoch     : {epoch_swaps}");
+    bank.end_epoch();
+    println!("  swaps in the epoch     : {swaps}");
     println!(
         "  mapping persists       : row 7 still at physical {}",
         bank.resolve(aggressor)

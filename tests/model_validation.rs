@@ -98,7 +98,8 @@ fn real_cat_structure_matches_conflict_model_qualitatively() {
         for i in 0..installs {
             if cat.len() >= capacity {
                 x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let victim = cat.nth_entry((x >> 33) as usize).map(|(t, _)| t).unwrap();
+                let n = (x >> 33) as usize % cat.len();
+                let victim = cat.iter_from(n).next().map(|(t, _)| t).unwrap();
                 cat.remove(victim);
             }
             next_tag += 1;
@@ -134,7 +135,7 @@ fn storage_model_matches_design_point_structures() {
     let config = RrsConfig::asplos22();
     let t5 = table5();
     // Tracker: 1700 entries fit in the 2x64x20 CAT.
-    assert!(config.tracker_entries <= CatConfig::tracker_asplos22().capacity());
+    assert!(config.tracker_entries() <= CatConfig::tracker_asplos22().capacity());
     // RIT: 3400 tuples = 6800 directed entries fit in 2x256x20.
     assert!(2 * config.rit_tuples <= CatConfig::rit_asplos22().capacity());
     // Published totals.
@@ -168,7 +169,7 @@ fn scaled_configs_preserve_design_ratios() {
     // scales (they depend only on ratios).
     let full = RrsConfig::for_threshold(4_800, 1_360_000, 128 * 1024);
     let scaled = RrsConfig::for_threshold(4_800 / 32, 1_360_000 / 32, 128 * 1024);
-    assert_eq!(full.tracker_entries, scaled.tracker_entries);
+    assert_eq!(full.tracker_entries(), scaled.tracker_entries());
     assert_eq!(full.rit_tuples, scaled.rit_tuples);
     assert_eq!(full.k(), scaled.k());
 }
